@@ -1,171 +1,89 @@
 //! Offline stand-in for the `bytes` crate: the little-endian cursor
-//! subset the binary log codec uses, backed by plain `Vec<u8>`.
-
-use std::ops::Deref;
-
-/// An immutable byte buffer with a read cursor.
-#[derive(Debug, Clone, Default)]
-pub struct Bytes {
-    data: Vec<u8>,
-    pos: usize,
-}
-
-impl Bytes {
-    /// A buffer holding a copy of `data`, cursor at the start.
-    pub fn copy_from_slice(data: &[u8]) -> Bytes {
-        Bytes { data: data.to_vec(), pos: 0 }
-    }
-}
-
-impl Deref for Bytes {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.data[self.pos..]
-    }
-}
-
-impl AsRef<[u8]> for Bytes {
-    fn as_ref(&self) -> &[u8] {
-        self
-    }
-}
+//! subset the binary log codec uses. As in the real crate, a byte slice
+//! is a read cursor (`Buf for &[u8]`, advancing by re-slicing, so reads
+//! borrow the input instead of copying it) and a `Vec<u8>` is a write
+//! buffer (`BufMut for Vec<u8>`).
 
 /// Read cursor operations. Panics on underflow, like the real crate.
 pub trait Buf {
     /// Bytes left to read.
     fn remaining(&self) -> usize;
+    /// The unread bytes.
+    fn chunk(&self) -> &[u8];
+    /// Advance the cursor.
+    fn advance(&mut self, n: usize);
+
     /// Whether any bytes are left.
     fn has_remaining(&self) -> bool {
         self.remaining() > 0
     }
-    /// Advance the cursor.
-    fn advance(&mut self, n: usize);
     /// Read one byte.
-    fn get_u8(&mut self) -> u8;
-    /// Read a little-endian u16.
-    fn get_u16_le(&mut self) -> u16;
-    /// Read a little-endian u32.
-    fn get_u32_le(&mut self) -> u32;
-    /// Copy bytes out into `dst`.
-    fn copy_to_slice(&mut self, dst: &mut [u8]);
-    /// Split off the next `n` bytes as an owned buffer.
-    fn copy_to_bytes(&mut self, n: usize) -> Bytes;
-}
-
-impl Buf for Bytes {
-    fn remaining(&self) -> usize {
-        self.data.len() - self.pos
-    }
-
-    fn advance(&mut self, n: usize) {
-        assert!(n <= self.remaining(), "advance past end");
-        self.pos += n;
-    }
-
     fn get_u8(&mut self) -> u8 {
-        let b = self.data[self.pos];
-        self.pos += 1;
+        let b = self.chunk()[0];
+        self.advance(1);
         b
     }
-
+    /// Read a little-endian u16.
     fn get_u16_le(&mut self) -> u16 {
         let mut raw = [0u8; 2];
         self.copy_to_slice(&mut raw);
         u16::from_le_bytes(raw)
     }
-
+    /// Read a little-endian u32.
     fn get_u32_le(&mut self) -> u32 {
         let mut raw = [0u8; 4];
         self.copy_to_slice(&mut raw);
         u32::from_le_bytes(raw)
     }
-
+    /// Copy bytes out into `dst`.
     fn copy_to_slice(&mut self, dst: &mut [u8]) {
         assert!(dst.len() <= self.remaining(), "copy past end");
-        dst.copy_from_slice(&self.data[self.pos..self.pos + dst.len()]);
-        self.pos += dst.len();
-    }
-
-    fn copy_to_bytes(&mut self, n: usize) -> Bytes {
-        assert!(n <= self.remaining(), "copy past end");
-        let out = Bytes { data: self.data[self.pos..self.pos + n].to_vec(), pos: 0 };
-        self.pos += n;
-        out
+        dst.copy_from_slice(&self.chunk()[..dst.len()]);
+        self.advance(dst.len());
     }
 }
 
-/// A growable byte buffer being written.
-#[derive(Debug, Clone, Default)]
-pub struct BytesMut {
-    data: Vec<u8>,
-}
-
-impl BytesMut {
-    /// An empty buffer.
-    pub fn new() -> BytesMut {
-        BytesMut::default()
+impl Buf for &[u8] {
+    fn remaining(&self) -> usize {
+        self.len()
     }
 
-    /// An empty buffer with reserved capacity.
-    pub fn with_capacity(cap: usize) -> BytesMut {
-        BytesMut { data: Vec::with_capacity(cap) }
+    fn chunk(&self) -> &[u8] {
+        self
     }
 
-    /// Freeze into an immutable buffer.
-    pub fn freeze(self) -> Bytes {
-        Bytes { data: self.data, pos: 0 }
-    }
-
-    /// The written bytes as a fresh `Vec`.
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.data.clone()
-    }
-
-    /// Number of bytes written.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether nothing was written.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-}
-
-impl Deref for BytesMut {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.data
+    fn advance(&mut self, n: usize) {
+        assert!(n <= self.len(), "advance past end");
+        *self = &self[n..];
     }
 }
 
 /// Write operations.
 pub trait BufMut {
-    /// Append one byte.
-    fn put_u8(&mut self, b: u8);
-    /// Append a little-endian u16.
-    fn put_u16_le(&mut self, v: u16);
-    /// Append a little-endian u32.
-    fn put_u32_le(&mut self, v: u32);
     /// Append a slice.
     fn put_slice(&mut self, src: &[u8]);
+
+    /// Append one byte.
+    fn put_u8(&mut self, b: u8) {
+        self.put_slice(&[b]);
+    }
+    /// Append a little-endian u16.
+    fn put_u16_le(&mut self, v: u16) {
+        self.put_slice(&v.to_le_bytes());
+    }
+    /// Append a little-endian u32.
+    fn put_u32_le(&mut self, v: u32) {
+        self.put_slice(&v.to_le_bytes());
+    }
 }
 
-impl BufMut for BytesMut {
-    fn put_u8(&mut self, b: u8) {
-        self.data.push(b);
-    }
-
-    fn put_u16_le(&mut self, v: u16) {
-        self.data.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn put_u32_le(&mut self, v: u32) {
-        self.data.extend_from_slice(&v.to_le_bytes());
-    }
-
+impl BufMut for Vec<u8> {
     fn put_slice(&mut self, src: &[u8]) {
-        self.data.extend_from_slice(src);
+        self.extend_from_slice(src);
+    }
+
+    fn put_u8(&mut self, b: u8) {
+        self.push(b);
     }
 }
 
@@ -175,18 +93,25 @@ mod tests {
 
     #[test]
     fn round_trip() {
-        let mut w = BytesMut::with_capacity(8);
+        let mut w = Vec::with_capacity(8);
         w.put_u8(7);
         w.put_u16_le(0xBEEF);
         w.put_u32_le(0xDEADBEEF);
         w.put_slice(b"xy");
-        let mut r = Bytes::copy_from_slice(&w.to_vec());
+        let mut r = &w[..];
         assert_eq!(r.remaining(), 9);
         assert_eq!(r.get_u8(), 7);
         assert_eq!(r.get_u16_le(), 0xBEEF);
         assert_eq!(r.get_u32_le(), 0xDEADBEEF);
-        let tail = r.copy_to_bytes(2);
-        assert_eq!(&*tail, b"xy");
+        assert_eq!(r.chunk(), b"xy");
+        r.advance(2);
         assert!(!r.has_remaining());
+    }
+
+    #[test]
+    #[should_panic(expected = "past end")]
+    fn reads_past_the_end_panic() {
+        let mut r: &[u8] = &[1, 2, 3];
+        r.get_u32_le();
     }
 }

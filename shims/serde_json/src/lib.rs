@@ -3,9 +3,12 @@
 //!
 //! Integers round-trip at full 64-bit fidelity: a number without `.`/`e`
 //! parses into `Value::UInt`/`Value::Int`, never through `f64`.
+//!
+//! Both directions are linear in the input: strings are written and
+//! parsed in runs of bytes that need no escaping, never char by char.
 
 use serde::{DeError, Deserialize, Serialize, Value};
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Serialization/deserialization error.
 #[derive(Debug, Clone)]
@@ -46,11 +49,11 @@ pub fn to_vec<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>, Error> {
 
 /// Parse a value from JSON text.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0, depth: 0 };
+    let mut p = Parser { text: s, pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != s.len() {
         return Err(Error(format!("trailing characters at byte {}", p.pos)));
     }
     T::from_value(&v).map_err(Error::from)
@@ -69,14 +72,19 @@ fn write_value(v: &Value, out: &mut String, indent: Option<usize>, level: usize)
         Value::Null => out.push_str("null"),
         Value::Bool(true) => out.push_str("true"),
         Value::Bool(false) => out.push_str("false"),
-        Value::UInt(n) => out.push_str(&n.to_string()),
-        Value::Int(n) => out.push_str(&n.to_string()),
+        // Formatting into a `String` cannot fail.
+        Value::UInt(n) => {
+            let _ = write!(out, "{n}");
+        }
+        Value::Int(n) => {
+            let _ = write!(out, "{n}");
+        }
         Value::Float(f) => {
             if f.is_finite() {
                 // Keep a decimal point so the value re-parses as a float.
-                let s = format!("{f}");
-                out.push_str(&s);
-                if !s.contains(['.', 'e', 'E']) {
+                let start = out.len();
+                let _ = write!(out, "{f}");
+                if !out[start..].contains(['.', 'e', 'E']) {
                     out.push_str(".0");
                 }
             } else {
@@ -131,17 +139,27 @@ fn newline_indent(out: &mut String, indent: Option<usize>, level: usize) {
 
 fn write_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    // Every byte that needs escaping is ASCII, so each unescaped run
+    // between two of them ends on a char boundary.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -150,14 +168,18 @@ fn write_string(s: &str, out: &mut String) {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
     depth: usize,
 }
 
 impl<'a> Parser<'a> {
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
+        while let Some(&b) = self.bytes().get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
                 self.pos += 1;
             } else {
@@ -167,7 +189,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), Error> {
@@ -199,7 +221,7 @@ impl<'a> Parser<'a> {
     }
 
     fn keyword(&mut self, kw: &str, v: Value) -> Result<Value, Error> {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(kw.as_bytes()) {
             self.pos += kw.len();
             Ok(v)
         } else {
@@ -223,69 +245,83 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error("bad number".into()))?;
-        if float {
-            text.parse::<f64>().map(Value::Float).map_err(|_| Error(format!("bad number `{text}`")))
-        } else if let Some(rest) = text.strip_prefix('-') {
-            rest.parse::<i64>()
-                .map(|n| Value::Int(-n))
-                .map_err(|_| Error(format!("bad number `{text}`")))
+        // Only ASCII was consumed, so the slice is on char boundaries.
+        let text = &self.text[start..self.pos];
+        let v = if float {
+            text.parse::<f64>().map(Value::Float).ok()
+        } else if text.starts_with('-') {
+            // Parse the sign with the digits: `i64::MIN` has no positive twin.
+            text.parse::<i64>().map(Value::Int).ok()
         } else {
-            text.parse::<u64>().map(Value::UInt).map_err(|_| Error(format!("bad number `{text}`")))
-        }
+            text.parse::<u64>().map(Value::UInt).ok()
+        };
+        v.ok_or_else(|| Error(format!("bad number `{text}`")))
     }
 
     fn string(&mut self) -> Result<String, Error> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err(Error("unterminated string".into())),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| Error("truncated \\u escape".into()))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| Error("bad \\u escape".into()))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| Error("bad \\u escape".into()))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| Error("bad \\u codepoint".into()))?,
-                            );
-                            self.pos += 4;
-                        }
-                        other => return Err(Error(format!("bad escape {other:?}"))),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 char (input validated as str).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| Error("invalid utf-8 in string".into()))?;
-                    let c = rest.chars().next().ok_or_else(|| Error("empty".into()))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            // Copy the run up to the next `"` or `\` in one step. Both are
+            // ASCII and the input is valid UTF-8, so the run ends on a char
+            // boundary.
+            let start = self.pos;
+            let run = self.bytes()[start..].iter().position(|&b| b == b'"' || b == b'\\');
+            let end = start + run.ok_or_else(|| Error("unterminated string".into()))?;
+            out.push_str(&self.text[start..end]);
+            self.pos = end + 1;
+            if self.bytes()[end] == b'"' {
+                return Ok(out);
             }
+            let c = match self.peek() {
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'/') => '/',
+                Some(b'n') => '\n',
+                Some(b'r') => '\r',
+                Some(b't') => '\t',
+                Some(b'b') => '\u{8}',
+                Some(b'f') => '\u{c}',
+                Some(b'u') => self.unicode_escape()?,
+                other => return Err(Error(format!("bad escape {other:?}"))),
+            };
+            out.push(c);
+            self.pos += 1;
         }
+    }
+
+    /// The char of a `\uXXXX` escape whose `u` is at `pos`, leaving `pos`
+    /// on its last hex digit. A UTF-16 surrogate pair (`\ud83d\ude00`)
+    /// spans two escapes and decodes to one char; a lone surrogate is an
+    /// error.
+    fn unicode_escape(&mut self) -> Result<char, Error> {
+        let hi = self.hex4(self.pos + 1)?;
+        self.pos += 4;
+        let code = match hi {
+            0xD800..=0xDBFF => {
+                let lo = match self.bytes().get(self.pos + 1..self.pos + 3) {
+                    Some(b"\\u") => self.hex4(self.pos + 3)?,
+                    _ => return Err(Error("bad \\u codepoint: lone surrogate".into())),
+                };
+                if !(0xDC00..=0xDFFF).contains(&lo) {
+                    return Err(Error("bad \\u codepoint: lone surrogate".into()));
+                }
+                self.pos += 6;
+                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+            }
+            code => code,
+        };
+        char::from_u32(code).ok_or_else(|| Error("bad \\u codepoint: lone surrogate".into()))
+    }
+
+    /// The four hex digits at byte `at`.
+    fn hex4(&self, at: usize) -> Result<u32, Error> {
+        let hex =
+            self.bytes().get(at..at + 4).ok_or_else(|| Error("truncated \\u escape".into()))?;
+        hex.iter().try_fold(0, |code, &b| {
+            let digit = (b as char).to_digit(16).ok_or_else(|| Error("bad \\u escape".into()))?;
+            Ok((code << 4) | digit)
+        })
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -350,6 +386,52 @@ mod tests {
         assert_eq!(s, "18446744073709551615");
         let back: u64 = from_str(&s).unwrap();
         assert_eq!(back, u64::MAX);
+    }
+
+    #[test]
+    fn i64_min_round_trips() {
+        let s = to_string(&i64::MIN).unwrap();
+        assert_eq!(s, "-9223372036854775808");
+        let back: i64 = from_str(&s).unwrap();
+        assert_eq!(back, i64::MIN);
+        assert!(from_str::<i64>("-9223372036854775809").is_err());
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_char() {
+        let back: String = from_str(r#""\ud83d\ude00 \u00e9\uD834\uDD1E""#).unwrap();
+        assert_eq!(back, "\u{1F600} \u{e9}\u{1D11E}");
+    }
+
+    #[test]
+    fn lone_surrogates_are_rejected() {
+        for bad in [r#""\ud83d""#, r#""\ud83dx""#, r#""\ud83d\u0041""#, r#""\ude00""#] {
+            let e = from_str::<String>(bad).unwrap_err();
+            assert!(e.to_string().contains("lone surrogate"), "{bad}: {e}");
+        }
+        assert!(from_str::<String>(r#""\ud83d\u12""#).is_err(), "truncated low half");
+    }
+
+    #[test]
+    fn strings_mixing_utf8_and_escapes_round_trip() {
+        let cases = [
+            "\"é漢字 at the start",
+            "at the end ü😀\n",
+            "back\\\"\t\u{1}to back ß\\ß",
+            "\\",
+            "😀",
+            "",
+            "\u{7f}\u{1f}\u{80}\u{10FFFF}",
+        ];
+        for case in cases {
+            let json = to_string(&case.to_string()).unwrap();
+            let back: String = from_str(&json).unwrap();
+            assert_eq!(back, case, "{json}");
+        }
+        let json = to_string(&"a\u{1}é".to_string()).unwrap();
+        assert_eq!(json, r#""a\u0001é""#);
+        let parsed: String = from_str(r#""é\/\b\fü\u00e9\"""#).unwrap();
+        assert_eq!(parsed, "é/\u{8}\u{c}üé\"");
     }
 
     #[test]
