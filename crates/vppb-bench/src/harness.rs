@@ -6,7 +6,7 @@ use vppb_model::{
     AuditReport, LwpPolicy, MachineConfig, SchedMetrics, SimParams, Time, TraceLog, VppbError,
 };
 use vppb_recorder::{record, RecordOptions, Recording};
-use vppb_sim::{analyze, simulate_metrics, simulate_plan};
+use vppb_sim::{analyze, simulate_plan, simulate_plan_metrics};
 use vppb_threads::App;
 
 /// Per-segment jitter amplitude for "real" executions.
@@ -94,7 +94,7 @@ pub fn predicted_speedup_metrics(
 ) -> Result<(f64, SchedMetrics, AuditReport), VppbError> {
     let plan = analyze(log)?;
     let uni = simulate_plan(&plan, log, &SimParams::cpus(1))?;
-    let (multi, metrics) = simulate_metrics(log, &SimParams::cpus(cpus))?;
+    let (multi, metrics) = simulate_plan_metrics(&plan, log, &SimParams::cpus(cpus))?;
     let speedup = uni.wall_time.nanos() as f64 / multi.wall_time.nanos() as f64;
     Ok((speedup, metrics, multi.audit))
 }

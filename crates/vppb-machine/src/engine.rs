@@ -11,8 +11,8 @@
 //!
 //! The same engine executes *real* runs (ground truth for Table 1),
 //! *monitored* runs (the Recorder attaches [`Hooks`] and a 1-CPU/1-LWP
-//! configuration), and *predicted* runs (the Simulator feeds replayer
-//! programs plus a [`CallInterceptor`] implementing the §3.2 replay rules).
+//! configuration), and *predicted* runs (the Simulator feeds replay
+//! tapes plus a [`CallInterceptor`] implementing the §3.2 replay rules).
 
 use crate::audit::{self, AuditInput, BarrierAudit, SyncAudit, ThreadAudit};
 use crate::calendar::Calendar;
@@ -33,7 +33,7 @@ use vppb_model::{
     ThreadState, Time, Transition, VppbError,
 };
 use vppb_threads::{
-    Action, App, FuncId, LibCall, Outcome, Program, ResumeCtx, TapeCursor, TapeProgram, VarOp,
+    Action, App, Body, FuncId, LibCall, Outcome, Program, ResumeCtx, TapeCursor, VarOp,
 };
 
 /// Maximum consecutive zero-time actions before a thread is declared
@@ -394,15 +394,6 @@ impl ProgSlot {
         match self {
             ProgSlot::Tape(t) => Some(ProgSlot::Tape(t.clone())),
             ProgSlot::Boxed(p) => p.fork().map(ProgSlot::Boxed),
-        }
-    }
-
-    /// Convert into a boxed [`Program`] (tape slots get the adapter that
-    /// exposes their cursor), for the snapshot re-bind callback.
-    fn into_program(self) -> Box<dyn Program> {
-        match self {
-            ProgSlot::Tape(t) => Box::new(TapeProgram(t)),
-            ProgSlot::Boxed(p) => p,
         }
     }
 }
@@ -1436,11 +1427,11 @@ impl<'a, 'o> Engine<'a, 'o> {
         let manip = self.opts.manips.lookup(id);
         let binding =
             manip.binding.unwrap_or(if bound_flag { Binding::BoundLwp } else { Binding::Unbound });
-        // Prefer the function's compiled replay tape (flat cursor walk, no
-        // virtual dispatch); fall back to the boxed coroutine factory.
-        let program = match &self.app.functions[func.0].tape {
-            Some(ops) => ProgSlot::Tape(TapeCursor::new(ops.clone())),
-            None => ProgSlot::Boxed(self.app.instantiate(func)),
+        // A tape body is walked by its own cursor (no virtual dispatch);
+        // a coroutine body gets a fresh coroutine.
+        let program = match &self.app.functions[func.0].body {
+            Body::Tape(tape) => ProgSlot::Tape(tape.clone()),
+            Body::Coroutine(factory) => ProgSlot::Boxed(factory()),
         };
         let tix = self.threads.push_new(
             id,
@@ -2571,22 +2562,28 @@ impl EngineSnapshot {
         })
     }
 
-    /// Replace every thread's coroutine. The incremental analyzer uses
-    /// this to re-bind snapshotted threads onto an *extended* replay plan:
-    /// the callback receives each thread's id and its current program
-    /// (whose [`Program::cursor`] gives the resume position) and returns
-    /// the replacement. An error aborts the rebind, leaving the already-
-    /// replaced threads in place — discard the snapshot on error.
-    pub fn rebind_programs(
-        &mut self,
-        mut f: impl FnMut(ThreadId, Box<dyn Program>) -> Result<Box<dyn Program>, VppbError>,
-    ) -> Result<(), VppbError> {
-        for tix in 0..self.threads.len() {
-            let placeholder = ProgSlot::Boxed(Box::new(|_ctx: ResumeCtx| Action::Stall));
-            let old = std::mem::replace(&mut self.threads.program[tix], placeholder);
-            self.threads.program[tix] =
-                ProgSlot::Boxed(f(self.threads.id[tix], old.into_program())?);
+    /// Move every thread onto a new tape at its current position. The
+    /// incremental analyzer uses this to re-bind snapshotted threads onto
+    /// an *extended* replay plan: each thread takes the tape at its
+    /// function's index in `tapes` (replay apps keep one function per
+    /// thread) and resumes it at the op its old cursor stood on. Every
+    /// thread is checked before any is replaced, so an error — a
+    /// coroutine-bodied thread, or a function with no tape — leaves the
+    /// snapshot as it was.
+    pub fn rebind_tapes(&mut self, tapes: &[TapeCursor]) -> Result<(), VppbError> {
+        let mut rebound = Vec::with_capacity(self.threads.len());
+        for (tix, slot) in self.threads.program.iter().enumerate() {
+            let id = self.threads.id[tix];
+            let ProgSlot::Tape(old) = slot else {
+                return Err(VppbError::InvalidConfig(format!("{id} does not run a tape")));
+            };
+            let func = self.threads.func[tix].0;
+            let tape = tapes.get(func).ok_or_else(|| {
+                VppbError::InvalidConfig(format!("{id} runs function {func}, which has no tape"))
+            })?;
+            rebound.push(ProgSlot::Tape(tape.clone().at(old.pos())));
         }
+        self.threads.program = rebound;
         Ok(())
     }
 
@@ -2609,8 +2606,8 @@ impl EngineSnapshot {
     /// Overwrite semaphore seeds with a re-derived initial vector (the
     /// incremental analyzer's `sem_initial` can deepen as more of the log
     /// arrives). Only legal while no thread waits on any semaphore — the
-    /// streaming replayer guarantees that by stalling before the first
-    /// semaphore op.
+    /// streaming replay guarantees that by capping every tape before its
+    /// first semaphore op.
     pub fn reseed_sems(&mut self, initial: &[u32]) -> Result<(), VppbError> {
         if self.sems.iter().any(|s| !s.queue.is_empty()) {
             return Err(VppbError::InvalidConfig(

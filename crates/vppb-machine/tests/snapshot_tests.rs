@@ -6,10 +6,11 @@ use proptest::prelude::*;
 use vppb_machine::{
     run, run_stream, EngineSnapshot, NullHooks, RunOptions, RunResult, StreamControl, StreamOutcome,
 };
+use vppb_model::{CodeAddr, Duration, Time};
 use vppb_sim::result_fingerprint;
 use vppb_testkit::fixtures::{compute_bound_pair, io_and_compute_app, two_worker_app};
 use vppb_testkit::{cfg, exact};
-use vppb_threads::App;
+use vppb_threads::{Action, App, Body, LibCall, TapeCursor};
 
 fn fixture(ix: usize) -> App {
     match ix {
@@ -78,6 +79,60 @@ fn snapshot_exposes_progress() {
         }
         other => panic!("expected a pause, got {other:?}"),
     }
+}
+
+/// A tape of `work` compute segments of 1 ms each, then `thr_exit`,
+/// optionally preceded by a `thr_create` of `child`.
+fn tape(child: Option<usize>, work: usize) -> TapeCursor {
+    let create = child.map(|f| {
+        Action::Call(
+            LibCall::Create { func: vppb_threads::FuncId(f), bound: false },
+            CodeAddr::NULL,
+        )
+    });
+    let work = std::iter::repeat_n(Action::Work(Duration::from_millis(1)), work);
+    let exit = Action::Call(LibCall::Exit, CodeAddr::NULL);
+    TapeCursor::new(create.into_iter().chain(work).chain([exit]).collect())
+}
+
+fn resume_to_end(app: &App, snap: EngineSnapshot) -> RunResult {
+    let mut hooks = NullHooks;
+    let control = StreamControl { resume_from: Some(Box::new(snap)), stop_before: None };
+    match run_stream(app, &exact(cfg(2)), RunOptions::new(&mut hooks), control).unwrap() {
+        StreamOutcome::Done(r) => *r,
+        _ => panic!("resumed run did not finish"),
+    }
+}
+
+#[test]
+fn failed_tape_rebind_leaves_the_snapshot_untouched() {
+    // Main walks a tape and starts a script-bodied worker.
+    let mut app = two_worker_app(3);
+    let worker = app.functions.iter().position(|f| f.name == "thread").expect("worker");
+    app.functions[app.main.0].body = Body::Tape(tape(Some(worker), 10));
+
+    // Pause once both threads exist, while main is still computing.
+    let mut hooks = NullHooks;
+    let control = StreamControl { resume_from: None, stop_before: Some(6) };
+    let StreamOutcome::Paused(mut snap) =
+        run_stream(&app, &exact(cfg(2)), RunOptions::new(&mut hooks), control).unwrap()
+    else {
+        panic!("expected a pause");
+    };
+    assert_eq!(snap.thread_ids().len(), 2, "worker not started by the pause");
+    assert!(snap.now() < Time::ZERO + Duration::from_millis(10), "main already done");
+    let untouched = snap.try_clone().expect("scripts and tapes fork");
+
+    // Main's replacement tape would add 50 ms of work; the worker has no
+    // tape to move, so the rebind must fail before touching main.
+    let mut tapes = vec![tape(None, 0); app.functions.len()];
+    tapes[app.main.0] = tape(Some(worker), 60);
+    assert!(snap.rebind_tapes(&tapes).is_err());
+    assert_eq!(
+        result_fingerprint(&resume_to_end(&app, *snap)),
+        result_fingerprint(&resume_to_end(&app, untouched)),
+        "a failed rebind changed the snapshot"
+    );
 }
 
 proptest! {

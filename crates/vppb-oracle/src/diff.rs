@@ -10,11 +10,14 @@
 //! engine's work-stealing pool and the oracle's naive mirror are compared
 //! with exactly the same rigor as the Solaris queues. The two runs must
 //! agree
-//! *bit for bit*: same wall time and the same full stream of scheduling
-//! decisions (every dispatch, preemption, enqueue, block, wakeup and
-//! priority change, via [`vppb_machine::StepRecorder`]), not just the same
-//! makespan. The first disagreement is reported as the first divergent
-//! dispatch decision.
+//! *bit for bit*: same wall time, same DES event count and the same full
+//! stream of scheduling decisions (every dispatch, preemption, enqueue,
+//! block, wakeup and priority change, via [`vppb_machine::StepRecorder`]),
+//! not just the same makespan; and the engine's run must pass its
+//! conservation audit. The first disagreement is reported as the first
+//! divergent dispatch decision. The engine walks each replay tape with its
+//! own cursor while the oracle walks it through the reference
+//! [`vppb_threads::TapeProgram`], so the grid checks the cursor too.
 
 use crate::engine::OracleTweaks;
 use crate::gen::{GenParams, ProgSpec};
@@ -106,7 +109,8 @@ pub struct Divergence {
     /// Scheduling model at the diverging grid point.
     pub model: ModelKind,
     /// Human-readable account: the first divergent scheduling decision,
-    /// a wall-time mismatch, or a one-sided error.
+    /// a wall-time or DES-count mismatch, a failed engine audit, or a
+    /// one-sided error.
     pub detail: String,
     /// Size of the offending replay plan in ops — the shrinker's metric.
     pub plan_ops: usize,
@@ -253,6 +257,19 @@ pub fn check_spec(
                     return Ok(Some(diverged(format!(
                         "identical decision streams but different wall times: engine {} vs oracle {}",
                         engine_run.wall_time, oracle_run.wall_time
+                    ))));
+                }
+                if engine_run.des_events != oracle_run.des_events {
+                    return Ok(Some(diverged(format!(
+                        "identical decision streams but different DES event counts: engine {} vs \
+                         oracle {}",
+                        engine_run.des_events, oracle_run.des_events
+                    ))));
+                }
+                if !engine_run.audit.is_clean() {
+                    return Ok(Some(diverged(format!(
+                        "engine run failed its audit:\n{}",
+                        engine_run.audit.render()
                     ))));
                 }
             }

@@ -34,7 +34,7 @@ pub mod server;
 pub mod service;
 
 pub use persist::{Durability, DurabilityStats, StartupReport};
-pub use server::{client, rlimit, signals, start, ServeOptions, Server};
+pub use server::{rlimit, signals, start, ServeOptions, Server};
 pub use service::{
     AppendResponse, CacheHit, PredictRequest, PredictResponse, PredictionService, ResultCacheStats,
     ServeError, ServiceMetrics, SweepRequest, SweepResponse, UploadResponse,

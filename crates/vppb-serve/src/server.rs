@@ -605,58 +605,3 @@ pub mod rlimit {
         None
     }
 }
-
-/// A blocking single-request HTTP client, just enough for tests, benches
-/// and the smoke driver to talk to the server without external tooling.
-pub mod client {
-    use std::io::{Read, Write};
-    use std::net::{SocketAddr, TcpStream};
-
-    /// Send one request; return `(status, body)`.
-    pub fn request(
-        addr: SocketAddr,
-        method: &str,
-        path: &str,
-        body: &[u8],
-    ) -> std::io::Result<(u16, Vec<u8>)> {
-        let (status, _headers, body) = request_full(addr, method, path, body)?;
-        Ok((status, body))
-    }
-
-    /// One parsed response: `(status, headers, body)`.
-    pub type RawResponse = (u16, Vec<(String, String)>, Vec<u8>);
-
-    /// Send one request; return `(status, headers, body)`.
-    pub fn request_full(
-        addr: SocketAddr,
-        method: &str,
-        path: &str,
-        body: &[u8],
-    ) -> std::io::Result<RawResponse> {
-        let mut stream = TcpStream::connect(addr)?;
-        stream.set_read_timeout(Some(std::time::Duration::from_secs(60)))?;
-        let head = format!(
-            "{method} {path} HTTP/1.1\r\nhost: vppb\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
-            body.len()
-        );
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(body)?;
-        stream.flush()?;
-        let mut raw = Vec::new();
-        stream.read_to_end(&mut raw)?;
-        parse_response(&raw)
-            .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "bad response"))
-    }
-
-    fn parse_response(raw: &[u8]) -> Option<RawResponse> {
-        let head_end = raw.windows(4).position(|w| w == b"\r\n\r\n")?;
-        let head = std::str::from_utf8(&raw[..head_end]).ok()?;
-        let mut lines = head.split("\r\n");
-        let status: u16 = lines.next()?.split(' ').nth(1)?.parse().ok()?;
-        let headers = lines
-            .filter_map(|l| l.split_once(':'))
-            .map(|(k, v)| (k.trim().to_ascii_lowercase(), v.trim().to_string()))
-            .collect();
-        Some((status, headers, raw[head_end + 4..].to_vec()))
-    }
-}

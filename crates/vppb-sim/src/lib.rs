@@ -6,15 +6,16 @@
 //!
 //! Pipeline: [`sorter::analyze`] sorts the log into per-thread event lists
 //! (fig. 4) and precomputes replay inputs; [`sim::build_replay_app`] turns
-//! them into replayer coroutines; the machine engine executes them under
-//! the requested configuration with [`rules::ReplayRules`] applying the
-//! dynamic condition-variable rules (§6's barrier model).
+//! them into a replay app whose every thread body is a flat tape
+//! ([`vppb_threads::TapeCursor`]); [`sim::replay_with_engine`] runs every
+//! replay, cold or streaming, on the machine engine under the requested
+//! configuration with [`rules::ReplayRules`] applying the dynamic
+//! condition-variable rules (§6's barrier model).
 
 pub mod cache;
 pub mod divergence;
 mod feed;
 pub mod plan;
-pub mod replayer;
 pub mod rules;
 pub mod sim;
 pub mod sorter;
@@ -24,14 +25,13 @@ pub mod sweep;
 pub use cache::{CacheStats, PlanCache};
 pub use divergence::{Divergence, DivergenceReport};
 pub use plan::{CvEpisode, CvPlan, ReplayOp, ReplayPlan, ThreadPlan};
-pub use replayer::Replayer;
 pub use rules::ReplayRules;
 pub use sim::{
-    build_replay_app, predict_speedup, replay_with_engine, simulate, simulate_metrics,
-    simulate_plan, simulate_plan_metrics, simulate_plan_with, SimulatedExecution,
+    build_replay_app, predict_speedup, replay_with_engine, simulate, simulate_plan,
+    simulate_plan_metrics, SimulatedExecution,
 };
 pub use sorter::{analyze, analyze_with_stability};
 pub use stream::{
-    check_chunked_equivalence, cold_run, extend_plan, result_fingerprint, PlanState, StreamSession,
+    check_chunked_equivalence, cold_run, result_fingerprint, PlanState, StreamSession,
 };
 pub use sweep::{sweep, sweep_plan, SweepConfig, SweepGrid, SweepOutcome, SweepPoint};

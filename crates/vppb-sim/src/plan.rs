@@ -123,37 +123,54 @@ impl ReplayPlan {
         if let Some(t) = self.tapes.get() {
             return Ok(t.clone());
         }
-        let func_of: BTreeMap<ThreadId, FuncId> =
-            self.threads.iter().enumerate().map(|(i, t)| (t.id, FuncId(i))).collect();
+        let func_of = self.func_ids();
         let mut tapes: Vec<Arc<[Action]>> = Vec::with_capacity(self.threads.len());
         for tp in &self.threads {
-            // Patch each Create op with the FuncId of the recorded child.
-            let mut seq = 0u64;
-            let mut ops: Vec<Action> = Vec::with_capacity(tp.ops.len());
-            for op in &tp.ops {
-                ops.push(match op {
-                    Action::Call(LibCall::Create { bound, .. }, site) => {
-                        let child =
-                            self.create_map.get(&(tp.id, seq)).copied().ok_or_else(|| {
-                                VppbError::MalformedLog(format!(
-                                    "replay plan: create #{seq} on {} has no recorded child",
-                                    tp.id
-                                ))
-                            })?;
-                        seq += 1;
-                        let func = func_of.get(&child).copied().ok_or_else(|| {
-                            VppbError::MalformedLog(format!(
-                                "replay plan: created thread {child} has no thread plan"
-                            ))
-                        })?;
-                        Action::Call(LibCall::Create { func, bound: *bound }, *site)
-                    }
-                    other => *other,
-                });
-            }
+            let mut ops = Vec::new();
+            self.compile_ops(&func_of, tp.id, &tp.ops, &mut 0, &mut ops)?;
             tapes.push(ops.into());
         }
         Ok(self.tapes.get_or_init(|| Arc::new(tapes)).clone())
+    }
+
+    /// Thread id → the [`FuncId`] its replay function gets: replay apps
+    /// number their function table in plan order.
+    pub(crate) fn func_ids(&self) -> BTreeMap<ThreadId, FuncId> {
+        self.threads.iter().enumerate().map(|(i, t)| (t.id, FuncId(i))).collect()
+    }
+
+    /// Append the tape form of `ops` — a run of thread `id`'s plan ops
+    /// that `*seq` earlier Create ops precede — to `out`, patching each
+    /// Create with the [`FuncId`] of its recorded child and advancing
+    /// `*seq` past it. The one place a plan op becomes a tape op: the
+    /// cold tapes and the streaming conversion cache both compile here.
+    /// On error `out` holds a partly patched tail; callers discard it.
+    pub(crate) fn compile_ops(
+        &self,
+        func_of: &BTreeMap<ThreadId, FuncId>,
+        id: ThreadId,
+        ops: &[ReplayOp],
+        seq: &mut u64,
+        out: &mut Vec<Action>,
+    ) -> Result<(), VppbError> {
+        let start = out.len();
+        out.extend_from_slice(ops);
+        for op in &mut out[start..] {
+            if let Action::Call(LibCall::Create { func, .. }, _) = op {
+                let child = self.create_map.get(&(id, *seq)).copied().ok_or_else(|| {
+                    VppbError::MalformedLog(format!(
+                        "replay plan: create #{seq} on {id} has no recorded child"
+                    ))
+                })?;
+                *seq += 1;
+                *func = func_of.get(&child).copied().ok_or_else(|| {
+                    VppbError::MalformedLog(format!(
+                        "replay plan: created thread {child} has no thread plan"
+                    ))
+                })?;
+            }
+        }
+        Ok(())
     }
 
     /// Approximate resident size of this plan in bytes — the charge the

@@ -3,10 +3,8 @@
 
 use crate::divergence::DivergenceReport;
 use crate::plan::ReplayPlan;
-use crate::replayer::Replayer;
 use crate::rules::ReplayRules;
 use crate::sorter::analyze;
-use std::sync::Arc;
 use vppb_machine::{
     run, JitterModel, ManipTable, MetricsObserver, NullHooks, RunLimits, RunOptions, RunResult,
     SchedObserver,
@@ -15,7 +13,7 @@ use vppb_model::{
     AuditReport, Duration, ExecutionTrace, SchedMetrics, SimParams, ThreadId, Time, TraceLog,
     VppbError,
 };
-use vppb_threads::{App, FuncDecl, FuncId, Program, ProgramFactory};
+use vppb_threads::{App, Body, FuncDecl, FuncId, TapeCursor};
 
 /// A predicted multiprocessor execution.
 #[derive(Debug, Clone)]
@@ -67,26 +65,30 @@ pub fn build_replay_app(
     plan: &ReplayPlan,
     source_map: vppb_model::SourceMap,
 ) -> Result<App, VppbError> {
-    // Function table: one function per recorded thread, in plan order.
     // The op lists come pre-compiled from the plan's tape cache, so a
     // sweep over CPU counts pays the plan→tape compile exactly once.
     let tapes = plan.tapes()?;
-    let mut functions = Vec::with_capacity(plan.threads.len());
-    for (tp, ops) in plan.threads.iter().zip(tapes.iter()) {
-        let factory: ProgramFactory = {
-            let ops = ops.clone();
-            Arc::new(move || Box::new(Replayer::new(ops.clone())) as Box<dyn Program>)
-        };
-        functions.push(FuncDecl {
+    tape_app(plan, tapes.iter().map(|ops| TapeCursor::new(ops.clone())), source_map)
+}
+
+/// Assemble a replay [`App`] around per-thread tapes, capped or not, in
+/// plan order: one function per recorded thread, so tape `i` is
+/// `FuncId(i)`. O(threads), not O(ops): the op lists are shared.
+pub(crate) fn tape_app(
+    plan: &ReplayPlan,
+    tapes: impl IntoIterator<Item = TapeCursor>,
+    source_map: vppb_model::SourceMap,
+) -> Result<App, VppbError> {
+    let functions = plan
+        .threads
+        .iter()
+        .zip(tapes)
+        .map(|(tp, tape)| FuncDecl {
             name: tp.start_fn.clone(),
             entry: tp.entry,
-            factory,
-            // Engines that understand flat tapes walk the ops directly,
-            // with no boxed coroutine per thread.
-            tape: Some(ops.clone()),
-        });
-    }
-
+            body: Body::Tape(tape),
+        })
+        .collect();
     let main =
         plan.threads.iter().position(|t| t.id == ThreadId::MAIN).map(FuncId).ok_or_else(|| {
             VppbError::MalformedLog("replay plan: no plan for the main thread".into())
@@ -120,75 +122,31 @@ pub fn simulate_plan(
     log: &TraceLog,
     params: &SimParams,
 ) -> Result<SimulatedExecution, VppbError> {
-    simulate_plan_with(plan, log, params, None)
-}
-
-/// Like [`simulate_plan`], with a scheduling observer attached to the
-/// replay run (metrics, ring traces).
-pub fn simulate_plan_with(
-    plan: &ReplayPlan,
-    log: &TraceLog,
-    params: &SimParams,
-    observer: Option<&mut dyn SchedObserver>,
-) -> Result<SimulatedExecution, VppbError> {
-    let result = run_replay(plan, log, params, observer)?;
+    let app = build_replay_app(plan, log.header.source_map.clone())?;
+    let result = replay_with_engine(&app, plan, params, None, run)?;
     Ok(to_execution(plan, params, result))
 }
 
-/// Like [`simulate`], additionally returning the scheduling metrics of
-/// the replay run (context switches, migrations, contention, queue
-/// depths).
-pub fn simulate_metrics(
-    log: &TraceLog,
-    params: &SimParams,
-) -> Result<(SimulatedExecution, SchedMetrics), VppbError> {
-    let plan = analyze(log)?;
-    let mut metrics = MetricsObserver::new();
-    let result = run_replay(&plan, log, params, Some(&mut metrics))?;
-    metrics.finish(&result);
-    let exec = to_execution(&plan, params, result);
-    Ok((exec, metrics.into_metrics()))
-}
-
-/// Like [`simulate_metrics`], reusing a precomputed plan — the prediction
-/// service pulls plans from its content-addressed cache and still wants
-/// the scheduling counters of every cold run for its `/metrics` rollup.
+/// Like [`simulate_plan`], additionally returning the scheduling metrics
+/// of the replay run (context switches, migrations, contention, queue
+/// depths) — the prediction service pulls plans from its
+/// content-addressed cache and still wants the scheduling counters of
+/// every cold run for its `/metrics` rollup.
 pub fn simulate_plan_metrics(
     plan: &ReplayPlan,
     log: &TraceLog,
     params: &SimParams,
 ) -> Result<(SimulatedExecution, SchedMetrics), VppbError> {
-    let mut metrics = MetricsObserver::new();
-    let result = run_replay(plan, log, params, Some(&mut metrics))?;
-    metrics.finish(&result);
-    let exec = to_execution(plan, params, result);
-    Ok((exec, metrics.into_metrics()))
-}
-
-/// Execute the replay on the engine.
-fn run_replay(
-    plan: &ReplayPlan,
-    log: &TraceLog,
-    params: &SimParams,
-    observer: Option<&mut dyn SchedObserver>,
-) -> Result<RunResult, VppbError> {
     let app = build_replay_app(plan, log.header.source_map.clone())?;
-    run_replay_on(&app, plan, params, observer)
-}
-
-/// Execute the replay of an already-built replay [`App`] — the sweep
-/// engine builds the app once and fans it out across worker threads.
-pub(crate) fn run_replay_on(
-    app: &App,
-    plan: &ReplayPlan,
-    params: &SimParams,
-    observer: Option<&mut dyn SchedObserver>,
-) -> Result<RunResult, VppbError> {
-    replay_with_engine(app, plan, params, observer, run)
+    let mut metrics = MetricsObserver::new();
+    let result = replay_with_engine(&app, plan, params, Some(&mut metrics), run)?;
+    metrics.finish(&result);
+    Ok((to_execution(plan, params, result), metrics.into_metrics()))
 }
 
 /// Execute a plan replay on an arbitrary *engine* — any function with the
-/// shape of [`vppb_machine::run`].
+/// shape of [`vppb_machine::run`], or of [`vppb_machine::run_stream`]
+/// with its stream control bound (the checkpoint chain).
 ///
 /// This is the seam differential testing hangs off: the replay rules,
 /// id assignment, thread manipulations and cost conventions are set up
@@ -196,15 +154,15 @@ pub(crate) fn run_replay_on(
 /// executable specification replay the *same plan under the same
 /// options* and any disagreement in their decision streams is a
 /// scheduling bug, not a harness artifact.
-pub fn replay_with_engine<E>(
+pub fn replay_with_engine<R, E>(
     app: &App,
     plan: &ReplayPlan,
     params: &SimParams,
     observer: Option<&mut dyn SchedObserver>,
     engine: E,
-) -> Result<RunResult, VppbError>
+) -> Result<R, VppbError>
 where
-    E: FnOnce(&App, &vppb_model::MachineConfig, RunOptions<'_>) -> Result<RunResult, VppbError>,
+    E: FnOnce(&App, &vppb_model::MachineConfig, RunOptions<'_>) -> Result<R, VppbError>,
 {
     // The paper's Simulator does not model kernel LWP context-switch
     // overhead (§6); mirror that unless the caller overrode the cost.

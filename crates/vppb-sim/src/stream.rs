@@ -5,10 +5,11 @@
 //! invariant that each rolling prediction is **bit-identical** to a cold
 //! `simulate(analyze(salvage(parse(prefix))))` over the bytes received so
 //! far. A [`StreamSession`] owns the raw bytes, re-derives the plan after
-//! every append ([`extend_plan`]), and keeps per-configuration *checkpoint
-//! chains* — [`vppb_machine::EngineSnapshot`]s of the replay engine paused
-//! at the edge of the plan's *committed prefix* — so the expensive replay
-//! resumes from the checkpoint instead of re-simulating from time zero.
+//! every append ([`StreamSession::append`]), and keeps per-configuration
+//! *checkpoint chains* — [`vppb_machine::EngineSnapshot`]s of the replay
+//! engine paused at the edge of the plan's *committed prefix* — so the
+//! expensive replay resumes from the checkpoint instead of re-simulating
+//! from time zero.
 //!
 //! ## Why this is exact (DESIGN.md §6f)
 //!
@@ -19,64 +20,30 @@
 //! (whose replay-rule seeds and inferred initial counts can change as the
 //! log grows). Within that prefix the per-thread ops are *append-stable*:
 //! later chunks extend them without rewriting. The chain replays only
-//! committed ops — a [`StallingReplayer`] returns [`Action::Stall`] at its
-//! commit horizon — so a snapshot paused before the first stall event is a
-//! true intermediate state of the cold replay of **every** future prefix.
-//! Completion then rebinds the coroutines to the full plan, reseeds the
+//! committed ops — each thread's tape is capped at its commit horizon,
+//! where its [`TapeCursor`] returns [`Action::Stall`] — so a snapshot
+//! paused before the first stall event is a true intermediate state of
+//! the cold replay of **every** future prefix. Completion then moves the
+//! paused cursors onto the full tapes at the same positions, reseeds the
 //! semaphores (no sem op ever ran, so no waiter exists), and runs to the
 //! end with fresh replay rules (no cv op ever ran, so fresh rules equal
-//! the cold rules state). Any structural surprise — an unforkable
-//! program, a shrunken plan, a bootstrap stall — simply falls back to the
-//! cold path, which is the definition of correct.
+//! the cold rules state). Every segment runs through
+//! [`crate::replay_with_engine`], the cold replay's own setup. Any
+//! structural surprise — a shrunken plan, a bootstrap stall — simply
+//! falls back to the cold path, which is the definition of correct.
 
 use crate::feed::{FeedStep, IncrementalFeed};
 use crate::plan::ReplayPlan;
-use crate::rules::ReplayRules;
-use crate::sim::{run_replay_on, to_execution, SimulatedExecution};
+use crate::sim::{
+    build_replay_app, replay_with_engine, tape_app, to_execution, SimulatedExecution,
+};
 use crate::sorter::analyze_with_stability;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use vppb_machine::{
-    run_stream, EngineSnapshot, JitterModel, ManipTable, NullHooks, RunLimits, RunOptions,
-    RunResult, StreamControl, StreamOutcome,
-};
-use vppb_model::{chunk, Duration, SimParams, StableHasher, ThreadId, TraceLog, VppbError};
+use vppb_machine::{run, run_stream, EngineSnapshot, RunResult, StreamControl, StreamOutcome};
+use vppb_model::{chunk, SimParams, StableHasher, ThreadId, TraceLog, VppbError};
 use vppb_recorder::{load_lenient_traced, LoadedLog};
-use vppb_threads::{Action, App, FuncDecl, FuncId, LibCall, Program, ProgramFactory, ResumeCtx};
-
-/// A [`crate::replayer::Replayer`] with a commit horizon: at `stall_at`
-/// it reports [`Action::Stall`] forever instead of advancing. With
-/// `stall_at == usize::MAX` it behaves exactly like the plain replayer,
-/// including the defensive exit past the end of the op list.
-#[derive(Clone)]
-struct StallingReplayer {
-    ops: Arc<[Action]>,
-    idx: usize,
-    stall_at: usize,
-}
-
-impl Program for StallingReplayer {
-    fn resume(&mut self, _ctx: ResumeCtx) -> Action {
-        if self.idx >= self.stall_at {
-            return Action::Stall;
-        }
-        match self.ops.get(self.idx) {
-            Some(op) => {
-                self.idx += 1;
-                *op
-            }
-            None => Action::Call(LibCall::Exit, vppb_model::CodeAddr::NULL),
-        }
-    }
-
-    fn fork(&self) -> Option<Box<dyn Program>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn cursor(&self) -> Option<usize> {
-        Some(self.idx)
-    }
-}
+use vppb_threads::{Action, App, LibCall, TapeCursor};
 
 /// Ops a chain must never execute before the log is complete: condvar
 /// traffic (replay-rule seeds grow with the log) and semaphore traffic
@@ -116,7 +83,7 @@ struct Chain {
     funcs: Vec<ThreadId>,
 }
 
-/// Converted replayer op lists, cached across predictions. In fast-feed
+/// Converted tape op lists, cached across predictions. In fast-feed
 /// mode every thread's plan ops are append-only up to the committed
 /// horizon, so only the tail past the cached prefix needs re-converting;
 /// anything that breaks that guarantee (a full re-derive, a shift in the
@@ -251,16 +218,21 @@ impl StreamSession {
         let state = self.state.as_ref()?;
         let plan = &state.plan;
         let source_map = state.loaded.log.header.source_map.clone();
-        let converted =
-            convert_plan_ops_cached(&mut self.conv_cache, plan, &state.committed).ok()?;
-        let (probe_app, parts) =
-            build_stalling_app(plan, &converted, Some(&state.committed), source_map.clone())
-                .ok()?;
+        let ops = convert_plan_ops_cached(&mut self.conv_cache, plan, &state.committed).ok()?;
+        let capped: Vec<TapeCursor> = plan
+            .threads
+            .iter()
+            .zip(&ops)
+            .map(|(tp, ops)| {
+                TapeCursor::capped(ops.clone(), state.committed.get(&tp.id).copied().unwrap_or(0))
+            })
+            .collect();
+        let probe_app = tape_app(plan, capped.iter().cloned(), source_map.clone()).ok()?;
 
         // Resume point: the existing checkpoint rebound onto the new plan,
         // or a fresh bootstrap when there is none (or rebinding fails).
         let resume = match self.chains.get(&key) {
-            Some(chain) => match rebind_onto(chain, plan, &parts) {
+            Some(chain) => match rebind_onto(chain, plan, &capped) {
                 Some(s) => Some(s),
                 None => {
                     self.chains.remove(&key);
@@ -299,7 +271,7 @@ impl StreamSession {
         // Re-run to the boundary *before* the stall: this snapshot carries
         // no stall artifacts and is a true cold intermediate state.
         let resume = match self.chains.get(&key) {
-            Some(chain) => Some(Box::new(rebind_onto(chain, plan, &parts)?)),
+            Some(chain) => Some(Box::new(rebind_onto(chain, plan, &capped)?)),
             None => None,
         };
         let control = StreamControl { resume_from: resume, stop_before: Some(m) };
@@ -311,24 +283,15 @@ impl StreamSession {
             }
         };
 
-        // Completion: finish the replay from the checkpoint with the full
-        // (uncapped) plan, fresh rules, and reseeded semaphores.
+        // Completion: finish the replay from the checkpoint on the full
+        // (uncapped) tapes, with fresh rules and reseeded semaphores.
         let kept = snapshot.try_clone()?;
         let funcs: Vec<ThreadId> = plan.threads.iter().map(|t| t.id).collect();
         let mut completion = snapshot;
         completion.reseed_sems(&plan.sem_initial).ok()?;
-        let (full_app, full_parts) = build_stalling_app(plan, &converted, None, source_map).ok()?;
-        completion
-            .rebind_programs(|id, old| {
-                let (ops, stall_at) = full_parts
-                    .get(&id)
-                    .ok_or_else(|| stream_err(format!("no plan for running thread {id}")))?;
-                let idx = old
-                    .cursor()
-                    .ok_or_else(|| stream_err(format!("{id} has no resumable cursor")))?;
-                Ok(Box::new(StallingReplayer { ops: ops.clone(), idx, stall_at: *stall_at }))
-            })
-            .ok()?;
+        let full: Vec<TapeCursor> = ops.into_iter().map(TapeCursor::new).collect();
+        completion.rebind_tapes(&full).ok()?;
+        let full_app = tape_app(plan, full, source_map).ok()?;
         let control = StreamControl { resume_from: Some(Box::new(completion)), stop_before: None };
         match run_chain_segment(&full_app, plan, params, control) {
             Ok(StreamOutcome::Done(result)) => {
@@ -341,19 +304,6 @@ impl StreamSession {
             }
         }
     }
-}
-
-fn stream_err(msg: String) -> VppbError {
-    VppbError::ReplayDiverged(format!("streaming replay: {msg}"))
-}
-
-/// Extend a session's plan in place from an appended chunk. Thin named
-/// wrapper so call sites read like the operation they perform.
-pub fn extend_plan<'s>(
-    session: &'s mut StreamSession,
-    chunk: &[u8],
-) -> Result<&'s PlanState, VppbError> {
-    session.append(chunk)
 }
 
 /// Full (non-incremental) derivation of a session's plan state: lenient
@@ -382,35 +332,32 @@ pub fn cold_run(bytes: &[u8], params: &SimParams) -> Result<RunResult, VppbError
 }
 
 fn cold_run_state(state: &PlanState, params: &SimParams) -> Result<RunResult, VppbError> {
-    let app =
-        crate::sim::build_replay_app(&state.plan, state.loaded.log.header.source_map.clone())?;
-    run_replay_on(&app, &state.plan, params, None)
+    let app = build_replay_app(&state.plan, state.loaded.log.header.source_map.clone())?;
+    replay_with_engine(&app, &state.plan, params, None, run)
 }
 
-/// Convert every thread's plan ops into the replayer's action lists,
-/// patching each Create op with the FuncId of the recorded child —
-/// identical to the cold app builder, so the committed prefix of the op
-/// stream is byte-for-byte the cold one. This is the only O(total ops)
-/// step of app assembly, so it runs once per prediction (the capped and
-/// uncapped apps are stamped out of the same shared lists) and carries a
-/// cache across predictions: the converted prefix up to each thread's
-/// committed horizon is append-stable in fast-feed mode, so only the op
-/// tail past it is converted anew. The cache self-invalidates when the
-/// plan's thread order shifts, and [`StreamSession::append`] discards it
-/// on any full re-derive.
+/// Convert every thread's plan ops into tape op lists, in plan order,
+/// through the same [`ReplayPlan::compile_ops`] the cold tapes use — so
+/// the committed prefix of the op stream is byte-for-byte the cold one.
+/// This is the only O(total ops) step of app assembly, so it runs once
+/// per prediction (the capped and uncapped tapes share the same lists)
+/// and carries a cache across predictions: the converted prefix up to
+/// each thread's committed horizon is append-stable in fast-feed mode,
+/// so only the op tail past it is converted anew. The cache
+/// self-invalidates when the plan's thread order shifts, and
+/// [`StreamSession::append`] discards it on any full re-derive.
 fn convert_plan_ops_cached(
     cache: &mut Option<ConvCache>,
     plan: &ReplayPlan,
     committed: &BTreeMap<ThreadId, usize>,
-) -> Result<BTreeMap<ThreadId, Arc<[Action]>>, VppbError> {
+) -> Result<Vec<Arc<[Action]>>, VppbError> {
     let order: Vec<ThreadId> = plan.threads.iter().map(|t| t.id).collect();
-    let func_of: BTreeMap<ThreadId, FuncId> =
-        order.iter().enumerate().map(|(i, &t)| (t, FuncId(i))).collect();
+    let func_of = plan.func_ids();
     let mut cached = match cache.take() {
         Some(c) if c.order == order => c.per,
         _ => BTreeMap::new(),
     };
-    let mut out = BTreeMap::new();
+    let mut out = Vec::with_capacity(plan.threads.len());
     let mut next = BTreeMap::new();
     for tp in &plan.threads {
         let (mut ops, mut seq) = cached.remove(&tp.id).unwrap_or_default();
@@ -420,28 +367,9 @@ fn convert_plan_ops_cached(
             ops.clear();
             seq = 0;
         }
-        ops.reserve(tp.ops.len() - ops.len());
-        for op in &tp.ops[ops.len()..] {
-            ops.push(match op {
-                Action::Call(LibCall::Create { bound, .. }, site) => {
-                    let child = plan.create_map.get(&(tp.id, seq)).copied().ok_or_else(|| {
-                        VppbError::MalformedLog(format!(
-                            "replay plan: create #{seq} on {} has no recorded child",
-                            tp.id
-                        ))
-                    })?;
-                    seq += 1;
-                    let func = func_of.get(&child).copied().ok_or_else(|| {
-                        VppbError::MalformedLog(format!(
-                            "replay plan: created thread {child} has no thread plan"
-                        ))
-                    })?;
-                    Action::Call(LibCall::Create { func, bound: *bound }, *site)
-                }
-                other => *other,
-            });
-        }
-        out.insert(tp.id, ops[..].into());
+        let from = ops.len();
+        plan.compile_ops(&func_of, tp.id, &tp.ops[from..], &mut seq, &mut ops)?;
+        out.push(ops[..].into());
         // Trim the cache entry back to the committed horizon — the part
         // guaranteed stable under future appends — rolling the create
         // sequence back past the trimmed tail.
@@ -457,127 +385,30 @@ fn convert_plan_ops_cached(
     Ok(out)
 }
 
-/// Build the replay app whose coroutines stall at the committed horizon
-/// (`caps = Some`) or never (`caps = None`; behaviorally identical to
-/// [`crate::sim::build_replay_app`]'s plain replayers) from pre-converted
-/// op lists. Also returns each thread's op list and horizon for snapshot
-/// rebinding. O(threads), not O(ops): the lists are Arc-shared.
-#[allow(clippy::type_complexity)]
-fn build_stalling_app(
-    plan: &ReplayPlan,
-    converted: &BTreeMap<ThreadId, Arc<[Action]>>,
-    caps: Option<&BTreeMap<ThreadId, usize>>,
-    source_map: vppb_model::SourceMap,
-) -> Result<(App, BTreeMap<ThreadId, (Arc<[Action]>, usize)>), VppbError> {
-    let mut functions = Vec::new();
-    let mut parts = BTreeMap::new();
-    let mut main = None;
-    for (i, tp) in plan.threads.iter().enumerate() {
-        let ops = converted
-            .get(&tp.id)
-            .ok_or_else(|| {
-                VppbError::MalformedLog(format!("replay plan: no converted ops for {}", tp.id))
-            })?
-            .clone();
-        let stall_at = match caps {
-            Some(c) => c.get(&tp.id).copied().unwrap_or(0),
-            None => usize::MAX,
-        };
-        parts.insert(tp.id, (ops.clone(), stall_at));
-        let factory: ProgramFactory = Arc::new(move || {
-            Box::new(StallingReplayer { ops: ops.clone(), idx: 0, stall_at }) as Box<dyn Program>
-        });
-        // No tape: stalling replayers carry per-thread horizons the flat
-        // tape walk cannot express, so the engine must use the factory.
-        functions.push(FuncDecl {
-            name: tp.start_fn.clone(),
-            entry: tp.entry,
-            factory,
-            tape: None,
-        });
-        if tp.id == ThreadId::MAIN {
-            main = Some(FuncId(i));
-        }
-    }
-
-    let main = main.ok_or_else(|| {
-        VppbError::MalformedLog("replay plan: no plan for the main thread".into())
-    })?;
-    Ok((
-        App {
-            name: format!("{} (replay)", plan.program),
-            functions,
-            main,
-            source_map,
-            sem_initial: plan.sem_initial.clone(),
-            n_mutexes: plan.n_mutexes,
-            n_condvars: plan.n_condvars,
-            n_rwlocks: plan.n_rwlocks,
-            barrier_parties: plan.barrier_parties.clone(),
-            once_init: plan.once_init.clone(),
-            var_initial: vec![],
-        },
-        parts,
-    ))
-}
-
 /// Clone a checkpoint and rebind it onto the current plan: remap `FuncId`s
-/// through the old plan order, then swap every coroutine for a
-/// [`StallingReplayer`] over the current (longer) op list at the same
-/// cursor. `None` when the snapshot cannot be carried forward.
-fn rebind_onto(
-    chain: &Chain,
-    plan: &ReplayPlan,
-    parts: &BTreeMap<ThreadId, (Arc<[Action]>, usize)>,
-) -> Option<EngineSnapshot> {
-    let new_pos: BTreeMap<ThreadId, usize> =
-        plan.threads.iter().enumerate().map(|(i, t)| (t.id, i)).collect();
-    let mut table = Vec::with_capacity(chain.funcs.len());
-    for id in &chain.funcs {
-        table.push(FuncId(*new_pos.get(id)?));
-    }
+/// through the old plan order, then move every thread onto its tape in
+/// `tapes` at the same position. `None` when the snapshot cannot be
+/// carried forward.
+fn rebind_onto(chain: &Chain, plan: &ReplayPlan, tapes: &[TapeCursor]) -> Option<EngineSnapshot> {
+    let func_of = plan.func_ids();
+    let table =
+        chain.funcs.iter().map(|id| func_of.get(id).copied()).collect::<Option<Vec<_>>>()?;
     let mut snap = chain.snapshot.try_clone()?;
     snap.remap_funcs(|f| table.get(f.0).copied().unwrap_or(f));
-    snap.rebind_programs(|id, old| {
-        let (ops, stall_at) =
-            parts.get(&id).ok_or_else(|| stream_err(format!("no plan for running thread {id}")))?;
-        let idx =
-            old.cursor().ok_or_else(|| stream_err(format!("{id} has no resumable cursor")))?;
-        Ok(Box::new(StallingReplayer { ops: ops.clone(), idx, stall_at: *stall_at }))
-    })
-    .ok()?;
+    snap.rebind_tapes(tapes).ok()?;
     Some(snap)
 }
 
-/// Replay one chain segment under exactly the cold replay configuration
-/// (mirrors [`crate::sim::replay_with_engine`]: no LWP-switch cost, fresh
-/// rules, recorded id assignment, no jitter).
+/// Replay one chain segment under exactly the cold replay configuration.
 fn run_chain_segment(
     app: &App,
     plan: &ReplayPlan,
     params: &SimParams,
     control: StreamControl,
 ) -> Result<StreamOutcome, VppbError> {
-    let mut machine = params.machine.clone();
-    machine.base_costs.lwp_switch = Duration::ZERO;
-    let mut rules = ReplayRules::new(plan, params.barrier_aware_broadcast);
-    let create_map = plan.create_map.clone();
-    let mut hooks = NullHooks;
-    let opts = RunOptions {
-        interceptor: Some(&mut rules),
-        id_assigner: Some(Box::new(move |creator, seq| {
-            create_map.get(&(creator, seq)).copied().unwrap_or(ThreadId(u32::MAX))
-        })),
-        manips: ManipTable::from_map(&params.manips),
-        jitter: JitterModel::none(),
-        limits: RunLimits::default(),
-        record_trace: true,
-        observer: None,
-        faults: params.faults,
-        size_hint: plan.total_ops(),
-        ..RunOptions::new(&mut hooks)
-    };
-    run_stream(app, &machine, opts, control)
+    replay_with_engine(app, plan, params, None, |app, cfg, opts| {
+        run_stream(app, cfg, opts, control)
+    })
 }
 
 /// A stable field-wise fingerprint of a completed run — every field a

@@ -16,7 +16,7 @@
 //! serial [`crate::simulate`] calls (there is a regression test for it).
 
 use crate::plan::ReplayPlan;
-use crate::sim::{build_replay_app, run_replay_on, to_execution, SimulatedExecution};
+use crate::sim::{build_replay_app, replay_with_engine, to_execution, SimulatedExecution};
 use crate::sorter::analyze;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -268,7 +268,8 @@ pub fn sweep_plan(
                 // The closure owns no shared mutable state, so resuming
                 // after its unwind observes nothing broken.
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    run_replay_on(&app, plan, params, None).map(|r| to_execution(plan, params, r))
+                    replay_with_engine(&app, plan, params, None, vppb_machine::run)
+                        .map(|r| to_execution(plan, params, r))
                 }))
                 .unwrap_or_else(|payload| {
                     Err(VppbError::ProgramError(format!(

@@ -190,11 +190,11 @@ pub enum Action {
     /// Call the thread library from the given call site.
     Call(LibCall, CodeAddr),
     /// The program has no more *committed* actions to offer yet (streaming
-    /// replay ran off the end of the stable plan prefix). Only meaningful
-    /// under [`crate::Program`] implementations driven by the incremental
-    /// analyzer; the streaming engine records the stall and the run is
-    /// discarded. A stalled program must keep returning `Stall` without
-    /// advancing, so a rerun stopped earlier never observes it.
+    /// replay ran off the end of the stable plan prefix): what a capped
+    /// [`crate::TapeCursor`] returns at its stop index. The streaming
+    /// engine records the stall and the run is discarded. A stalled
+    /// program must keep returning `Stall` without advancing, so a rerun
+    /// stopped earlier never observes it.
     Stall,
 }
 

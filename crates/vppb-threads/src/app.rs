@@ -1,16 +1,27 @@
 //! A multithreaded application: the unit the Recorder monitors and the
 //! machine executes.
 //!
-//! An [`App`] is immutable and reusable: every machine run instantiates
-//! fresh coroutines from the function table, so the same `App` can be
+//! An [`App`] is immutable and reusable: every machine run starts fresh
+//! thread bodies from the function table, so the same `App` can be
 //! executed on a uni-processor under the Recorder, on the 8-CPU ground-truth
 //! machine five times with different jitter seeds, and so on — exactly how
 //! the paper reuses one compiled binary for all of its runs.
 
-use crate::action::{Action, FuncId};
+use crate::action::FuncId;
 use crate::program::{Program, ProgramFactory};
-use std::sync::Arc;
+use crate::tape::{TapeCursor, TapeProgram};
 use vppb_model::{CodeAddr, SourceMap, VppbError};
+
+/// A function's body: exactly one executable form.
+#[derive(Clone)]
+pub enum Body {
+    /// A flat replay tape (replay apps compiled from a plan). Every thread
+    /// started with this function walks its own clone of the cursor.
+    Tape(TapeCursor),
+    /// A coroutine factory (scripts and hand-written programs): creates a
+    /// fresh coroutine for every thread started with this function.
+    Coroutine(ProgramFactory),
+}
 
 /// One entry of the function table.
 #[derive(Clone)]
@@ -20,13 +31,8 @@ pub struct FuncDecl {
     /// Pseudo-address of the function entry point (recorded by
     /// `thr_create` probes, resolved back to `name` via the source map).
     pub entry: CodeAddr,
-    /// Creates a fresh coroutine executing this function's body.
-    pub factory: ProgramFactory,
-    /// Flat replay tape for this body, when it is a linear op list (replay
-    /// apps compiled from a plan). Engines that understand tapes walk this
-    /// array directly instead of instantiating a boxed coroutine; `factory`
-    /// must still produce an equivalent program for engines that don't.
-    pub tape: Option<Arc<[Action]>>,
+    /// What a thread started with this function executes.
+    pub body: Body,
 }
 
 impl std::fmt::Debug for FuncDecl {
@@ -65,9 +71,14 @@ pub struct App {
 }
 
 impl App {
-    /// Instantiate a fresh coroutine for `func`.
+    /// Instantiate a fresh coroutine for `func`. A tape body yields the
+    /// reference walk [`TapeProgram`]; the machine engine walks tapes with
+    /// its own cursor instead.
     pub fn instantiate(&self, func: FuncId) -> Box<dyn Program> {
-        (self.functions[func.0].factory)()
+        match &self.functions[func.0].body {
+            Body::Tape(tape) => Box::new(TapeProgram::new(tape)),
+            Body::Coroutine(factory) => factory(),
+        }
     }
 
     /// Name of a function (for `thread_start` resolution).
@@ -121,8 +132,7 @@ mod tests {
             functions: vec![FuncDecl {
                 name: "main".into(),
                 entry: CodeAddr(0x1000),
-                factory: exit_factory(),
-                tape: None,
+                body: Body::Coroutine(exit_factory()),
             }],
             main: FuncId(0),
             source_map: SourceMap::new(),

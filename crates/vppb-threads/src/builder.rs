@@ -25,7 +25,7 @@ use crate::action::{
     BarrierRef, Cmp, Cond, CondRef, FuncId, LibCall, LocalId, MutexRef, OnceRef, Operand, RwRef,
     SemRef, SlotId, VarId,
 };
-use crate::app::{App, FuncDecl};
+use crate::app::{App, Body, FuncDecl};
 use crate::program::{Program, ProgramFactory};
 use crate::script::{Block, JoinFrom, ScriptFn, SlotCallKind, Stmt};
 use std::sync::Arc;
@@ -156,7 +156,7 @@ impl AppBuilder {
             let script = Arc::new(script);
             Arc::new(move || Box::new(script.runner()) as Box<dyn Program>)
         };
-        self.functions.push(FuncDecl { name, entry, factory, tape: None });
+        self.functions.push(FuncDecl { name, entry, body: Body::Coroutine(factory) });
         FuncId(self.functions.len() - 1)
     }
 
@@ -165,7 +165,7 @@ impl AppBuilder {
     pub fn raw_func(&mut self, name: impl Into<String>, factory: ProgramFactory) -> FuncId {
         let name = name.into();
         let entry = self.intern(&name);
-        self.functions.push(FuncDecl { name, entry, factory, tape: None });
+        self.functions.push(FuncDecl { name, entry, body: Body::Coroutine(factory) });
         FuncId(self.functions.len() - 1)
     }
 

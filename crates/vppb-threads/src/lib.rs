@@ -10,7 +10,8 @@
 //! compute segments, shared-memory accesses and thread-library calls. Most
 //! bodies are written with the [`builder`] DSL and run by the script
 //! interpreter in [`script`]; fully dynamic behaviour (work stealing, spin
-//! loops) implements [`Program`] directly.
+//! loops) implements [`Program`] directly. The Simulator's replay apps
+//! give each function a flat [`tape`] instead ([`Body::Tape`]).
 
 pub mod action;
 pub mod app;
@@ -24,7 +25,7 @@ pub use action::{
     Action, BarrierRef, Cmp, Cond, CondRef, FuncId, LibCall, LocalId, MutexRef, OnceRef, Operand,
     Outcome, RwRef, SemRef, SlotId, VarId, VarOp,
 };
-pub use app::{App, FuncDecl};
+pub use app::{App, Body, FuncDecl};
 pub use builder::{op, AppBuilder, BarrierDecl, FnBuilder};
 pub use posix::{PthreadApi, Scope};
 pub use program::{Program, ProgramFactory, ResumeCtx};

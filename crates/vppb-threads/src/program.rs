@@ -30,17 +30,10 @@ pub trait Program: Send {
     fn resume(&mut self, ctx: ResumeCtx) -> Action;
 
     /// Duplicate this coroutine mid-flight, preserving its position.
-    /// Checkpointable programs (script runners, replayers) override this so
+    /// Checkpointable programs (script runners) override this so
     /// an [`EngineSnapshot`](../vppb_machine) can be cloned; data-dependent
     /// demo programs keep the `None` default and simply cannot be forked.
     fn fork(&self) -> Option<Box<dyn Program>> {
-        None
-    }
-
-    /// The program's resume position, for programs that step through a
-    /// linear op list (replayers). Streaming replay uses it to re-bind a
-    /// snapshotted thread onto an extended plan without losing its place.
-    fn cursor(&self) -> Option<usize> {
         None
     }
 }

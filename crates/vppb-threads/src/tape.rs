@@ -1,45 +1,67 @@
 //! Flat replay tapes: a thread body as a dense array of fixed-size
 //! [`Action`] records walked by cursor.
 //!
-//! A tape is the pre-compiled form of a linear op list (a replay plan's
-//! per-thread program). The machine's hot loop advances a [`TapeCursor`]
-//! with a bounds check and an index increment — no `Box<dyn Program>`
-//! virtual dispatch, no per-event allocation. Semantics are identical to
-//! a `Replayer` over the same ops: each resume yields the next op, and a
-//! cursor that runs off the end keeps returning a defensive `thr_exit`
-//! (a correct plan ends with an explicit `Exit`, so the fallback only
-//! matters for malformed hand-built plans).
+//! A tape is the one executable form of a replayed thread: a replay
+//! plan's per-thread op list, compiled once. The machine's hot loop
+//! advances a [`TapeCursor`] with a bounds check and an index increment —
+//! no `Box<dyn Program>` virtual dispatch, no per-event allocation. Each
+//! take yields the next op; a cursor that runs off the end keeps
+//! returning a defensive `thr_exit` (a correct plan ends with an explicit
+//! `Exit`, so the fallback only matters for malformed hand-built plans).
+//!
+//! A cursor may carry a *stop index*: from that op on it returns
+//! [`Action::Stall`] forever instead of advancing. Streaming replay caps
+//! each thread at its commit horizon this way, then moves the paused
+//! cursors onto the full tapes at the same position.
+//!
+//! [`TapeProgram`] walks a tape as a boxed [`Program`]. It is written
+//! apart from [`TapeCursor::take`] on purpose: the `vppb-oracle`
+//! scheduler replays tapes through it, so the engine-vs-oracle grid also
+//! checks the engine's cursor against an independent walk.
 
 use crate::action::{Action, LibCall};
 use crate::program::{Program, ResumeCtx};
 use std::sync::Arc;
 use vppb_model::CodeAddr;
 
-/// A position in a flat replay tape. Cloning is O(1) (the op array is
-/// shared), so snapshots fork tape-driven threads for free.
+/// A position in a flat replay tape, with an optional stop index.
+/// Cloning is O(1) (the op array is shared), so snapshots fork
+/// tape-driven threads for free.
 #[derive(Debug, Clone)]
 pub struct TapeCursor {
     ops: Arc<[Action]>,
     pos: usize,
+    stop: usize,
 }
 
 impl TapeCursor {
-    /// A cursor at the start of `ops`.
+    /// A cursor at the start of `ops` that never stops.
     pub fn new(ops: Arc<[Action]>) -> TapeCursor {
-        TapeCursor { ops, pos: 0 }
+        TapeCursor::capped(ops, usize::MAX)
     }
 
-    /// A cursor resumed at `pos` (re-binding a snapshotted thread onto an
-    /// extended tape).
-    pub fn at(ops: Arc<[Action]>, pos: usize) -> TapeCursor {
-        TapeCursor { ops, pos }
+    /// A cursor at the start of `ops` that stalls once `stop` ops have
+    /// been taken.
+    pub fn capped(ops: Arc<[Action]>, stop: usize) -> TapeCursor {
+        TapeCursor { ops, pos: 0, stop }
     }
 
-    /// Take the next op, advancing the cursor. Past the end: a defensive
-    /// `thr_exit`, exactly like `Replayer`. (Named `take`, not `next`, so
-    /// it cannot be confused with `Iterator::next` — it never ends.)
+    /// The same tape and stop, resumed at `pos` (re-binding a
+    /// snapshotted thread onto an extended tape).
+    pub fn at(self, pos: usize) -> TapeCursor {
+        TapeCursor { pos, ..self }
+    }
+
+    /// Take the next op, advancing the cursor. At the stop index:
+    /// [`Action::Stall`], without advancing. Past the end: a defensive
+    /// `thr_exit`. (Named `take`, not `next`, so it cannot be confused
+    /// with `Iterator::next` — it never ends.)
     #[inline]
     pub fn take(&mut self) -> Action {
+        // Uncapped cursors stop at `usize::MAX`: this compare never fires.
+        if self.pos >= self.stop {
+            return Action::Stall;
+        }
         match self.ops.get(self.pos) {
             Some(&a) => {
                 self.pos += 1;
@@ -55,22 +77,37 @@ impl TapeCursor {
     }
 }
 
-/// [`Program`] adapter over a [`TapeCursor`], for seams that need a boxed
-/// coroutine (snapshot re-binding hands the old program to a callback that
-/// reads its [`Program::cursor`]).
-pub struct TapeProgram(pub TapeCursor);
+/// The reference walk over a tape, as a boxed coroutine: the plain
+/// replayer loop plus the stop check, sharing no code with
+/// [`TapeCursor::take`]. Outcomes of the replayed calls are ignored —
+/// the log already fixed every decision the program made.
+pub struct TapeProgram {
+    ops: Arc<[Action]>,
+    idx: usize,
+    stop: usize,
+}
+
+impl TapeProgram {
+    /// A walk starting where `tape` stands, with the same stop.
+    pub fn new(tape: &TapeCursor) -> TapeProgram {
+        TapeProgram { ops: tape.ops.clone(), idx: tape.pos, stop: tape.stop }
+    }
+}
 
 impl Program for TapeProgram {
     fn resume(&mut self, _ctx: ResumeCtx) -> Action {
-        self.0.take()
-    }
-
-    fn fork(&self) -> Option<Box<dyn Program>> {
-        Some(Box::new(TapeProgram(self.0.clone())))
-    }
-
-    fn cursor(&self) -> Option<usize> {
-        Some(self.0.pos)
+        if self.idx >= self.stop {
+            return Action::Stall;
+        }
+        match self.ops.get(self.idx) {
+            Some(op) => {
+                self.idx += 1;
+                *op
+            }
+            // Defensive: a plan always ends with Exit, but terminate
+            // cleanly if not.
+            None => Action::Call(LibCall::Exit, CodeAddr::NULL),
+        }
     }
 }
 
@@ -84,6 +121,14 @@ mod tests {
             .into()
     }
 
+    fn ctx() -> ResumeCtx {
+        ResumeCtx {
+            outcome: Default::default(),
+            self_id: vppb_model::ThreadId(1),
+            now: vppb_model::Time::ZERO,
+        }
+    }
+
     #[test]
     fn cursor_walks_and_falls_back_to_exit() {
         let mut c = TapeCursor::new(ops());
@@ -95,17 +140,47 @@ mod tests {
     }
 
     #[test]
-    fn program_adapter_reports_cursor_and_forks() {
-        let mut p = TapeProgram(TapeCursor::new(ops()));
-        assert_eq!(p.cursor(), Some(0));
-        let ctx = ResumeCtx {
-            outcome: Default::default(),
-            self_id: vppb_model::ThreadId(1),
-            now: vppb_model::Time::ZERO,
-        };
-        p.resume(ctx);
-        assert_eq!(p.cursor(), Some(1));
-        let fork = p.fork().expect("tapes fork");
-        assert_eq!(fork.cursor(), Some(1));
+    fn capped_cursor_stalls_at_its_stop_and_past_it() {
+        let mut c = TapeCursor::capped(ops(), 1);
+        assert!(matches!(c.take(), Action::Work(_)));
+        for _ in 0..3 {
+            assert_eq!(c.take(), Action::Stall);
+            assert_eq!(c.pos(), 1, "a stall does not advance");
+        }
+        // A stop of zero stalls before the first op.
+        assert_eq!(TapeCursor::capped(ops(), 0).take(), Action::Stall);
+    }
+
+    #[test]
+    fn clone_keeps_position_and_stop() {
+        let mut c = TapeCursor::capped(ops(), 1);
+        c.take();
+        let mut fork = c.clone();
+        assert_eq!(fork.pos(), 1);
+        assert_eq!(fork.take(), Action::Stall);
+    }
+
+    #[test]
+    fn cursor_moved_onto_a_longer_uncapped_tape_continues() {
+        let mut c = TapeCursor::capped(ops()[..1].into(), 1);
+        c.take();
+        assert_eq!(c.take(), Action::Stall);
+        let mut moved = TapeCursor::new(ops()).at(c.pos());
+        assert_eq!(moved.take(), Action::Call(LibCall::Exit, CodeAddr(0x40)));
+        assert_eq!(moved.take(), Action::Call(LibCall::Exit, CodeAddr::NULL));
+    }
+
+    #[test]
+    fn reference_walk_matches_the_cursor() {
+        for tape in
+            [TapeCursor::new(ops()), TapeCursor::capped(ops(), 1), TapeCursor::capped(ops(), 5)]
+        {
+            let mut cursor = tape.clone();
+            let mut walk = TapeProgram::new(&tape);
+            // Two ops, then the exit (or stall) after the end, twice over.
+            for step in 0..4 {
+                assert_eq!(cursor.take(), walk.resume(ctx()), "step {step} of {tape:?}");
+            }
+        }
     }
 }

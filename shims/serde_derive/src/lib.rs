@@ -82,7 +82,7 @@ fn skip_attrs(tokens: &[TokenTree], i: &mut usize) -> (bool, FieldDefault) {
                 if text.contains("transparent") {
                     transparent = true;
                 }
-                if let Some(rest) = text.splitn(2, "default").nth(1) {
+                if let Some((_, rest)) = text.split_once("default") {
                     // `default = "path"` or bare `default`.
                     let path = rest
                         .split('"')

@@ -29,7 +29,9 @@ use vppb_model::{
     VppbError,
 };
 use vppb_recorder as logio;
-use vppb_sim::{simulate, simulate_metrics, DivergenceReport, SweepGrid, SweepPoint};
+use vppb_sim::{
+    analyze, simulate_plan, simulate_plan_metrics, DivergenceReport, SweepGrid, SweepPoint,
+};
 use vppb_viz::{ansi, compute_stats, stats, svg, Align, AnsiOptions, TextTable};
 use vppb_workloads::{prodcons, splash2_suite, KernelParams};
 
@@ -195,11 +197,13 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 let us: u64 = d.parse().map_err(|_| "bad --comm-delay-us")?;
                 params.machine.comm_delay = Duration::from_micros(us);
             }
+            let plan = analyze(log).map_err(|e| e.to_string())?;
             let (sim, metrics) = if flags.contains_key("metrics-json") {
-                let (sim, m) = simulate_metrics(log, &params).map_err(|e| e.to_string())?;
+                let (sim, m) =
+                    simulate_plan_metrics(&plan, log, &params).map_err(|e| e.to_string())?;
                 (sim, Some(m))
             } else {
-                (simulate(log, &params).map_err(|e| e.to_string())?, None)
+                (simulate_plan(&plan, log, &params).map_err(|e| e.to_string())?, None)
             };
             println!(
                 "simulated `{}` on {cpus} CPUs: wall {}, speed-up vs monitored run {:.2}",
@@ -248,20 +252,26 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             uni_params.machine.model = model;
             let mut multi_params = SimParams::cpus(cpus);
             multi_params.machine.model = model;
-            if let Some(file) = flags.get("metrics-json") {
-                // Table-1 style speed-up: predicted 1-CPU wall over
-                // predicted N-CPU wall, with the N-CPU run's metrics.
-                // Both runs use the same scheduling model, so the ratio
-                // stays model-internal.
-                let (uni, _) = simulate_metrics(log, &uni_params).map_err(|e| e.to_string())?;
-                let (multi, metrics) =
-                    simulate_metrics(log, &multi_params).map_err(|e| e.to_string())?;
-                let s = if multi.wall_time.nanos() == 0 {
-                    0.0
-                } else {
-                    uni.wall_time.nanos() as f64 / multi.wall_time.nanos() as f64
-                };
-                println!("predicted speed-up of `{}` on {cpus} CPUs: {s:.2}", log.header.program);
+            // Table-1 style speed-up: predicted 1-CPU wall over predicted
+            // N-CPU wall, with the N-CPU run's metrics under
+            // `--metrics-json`. Both runs use the same scheduling model, so
+            // the ratio stays model-internal.
+            let plan = analyze(log).map_err(|e| e.to_string())?;
+            let uni = simulate_plan(&plan, log, &uni_params).map_err(|e| e.to_string())?;
+            let (multi, metrics) = if flags.contains_key("metrics-json") {
+                let (multi, m) =
+                    simulate_plan_metrics(&plan, log, &multi_params).map_err(|e| e.to_string())?;
+                (multi, Some(m))
+            } else {
+                (simulate_plan(&plan, log, &multi_params).map_err(|e| e.to_string())?, None)
+            };
+            let s = if multi.wall_time.nanos() == 0 {
+                0.0
+            } else {
+                uni.wall_time.nanos() as f64 / multi.wall_time.nanos() as f64
+            };
+            println!("predicted speed-up of `{}` on {cpus} CPUs: {s:.2}", log.header.program);
+            if let (Some(file), Some(metrics)) = (flags.get("metrics-json"), metrics) {
                 let dump = MetricsDump {
                     program: log.header.program.clone(),
                     cpus,
@@ -274,15 +284,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     salvage: input.salvage.clone(),
                 };
                 write_metrics_json(file, &dump)?;
-            } else {
-                let uni = simulate(log, &uni_params).map_err(|e| e.to_string())?;
-                let multi = simulate(log, &multi_params).map_err(|e| e.to_string())?;
-                let s = if multi.wall_time.nanos() == 0 {
-                    0.0
-                } else {
-                    uni.wall_time.nanos() as f64 / multi.wall_time.nanos() as f64
-                };
-                println!("predicted speed-up of `{}` on {cpus} CPUs: {s:.2}", log.header.program);
             }
             Ok(input.exit())
         }
@@ -966,7 +967,8 @@ fn watch(path: &str, flags: &BTreeMap<String, String>) -> Result<ExitCode, Strin
     println!("predicted speed-up of `{program}` on {cpus} CPUs: {s:.2}");
     if let Some(file) = flags.get("metrics-json") {
         let log = session.log().ok_or("watch: no parsed log")?;
-        let (m, metrics) = simulate_metrics(log, &multi).map_err(|e| e.to_string())?;
+        let plan = analyze(log).map_err(|e| e.to_string())?;
+        let (m, metrics) = simulate_plan_metrics(&plan, log, &multi).map_err(|e| e.to_string())?;
         let dump = MetricsDump {
             program,
             cpus,

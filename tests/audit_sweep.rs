@@ -4,7 +4,7 @@
 
 use vppb::pipeline;
 use vppb_model::SimParams;
-use vppb_sim::simulate_metrics;
+use vppb_sim::{analyze, simulate_plan_metrics};
 use vppb_workloads::{prodcons, splash2_suite, KernelParams};
 
 #[test]
@@ -18,8 +18,9 @@ fn every_workload_replays_with_zero_violations() {
 
     for (name, app) in &apps {
         let rec = pipeline::record_app(app).unwrap_or_else(|e| panic!("{name}: record: {e}"));
+        let plan = analyze(&rec.log).unwrap_or_else(|e| panic!("{name}: analyze: {e}"));
         for cpus in [1u32, 2, 8] {
-            let (sim, metrics) = simulate_metrics(&rec.log, &SimParams::cpus(cpus))
+            let (sim, metrics) = simulate_plan_metrics(&plan, &rec.log, &SimParams::cpus(cpus))
                 .unwrap_or_else(|e| panic!("{name} @{cpus}p: {e}"));
             assert!(
                 sim.audit.is_clean(),
