@@ -193,9 +193,9 @@ fn main() {
     assert_eq!(configs.len(), 8, "the tracked sweep is 8 configurations");
     let sweep_des: u64 = sweep_plan(&plan, &rec.log, &configs, 0)
         .expect("sweep")
-        .executions
+        .points
         .iter()
-        .map(|e| e.as_ref().map_or(0, |e| e.des_events))
+        .map(|p| p.des_events)
         .sum();
 
     // Service-path pair: a cold prediction pays upload + salvage + analyze

@@ -8,10 +8,12 @@
 //! — they are cheap relative to the simulation itself — so any accounting
 //! bug in the engine or a replay rule surfaces as a structured
 //! [`AuditReport`] violation rather than a silently wrong prediction.
+//! The CPU-occupancy law needs the whole state timeline, so it is checked
+//! online ([`OccupancyCheck`]) as the engine makes each transition; a run
+//! that records no trace is audited as completely as one that does.
 
 use vppb_model::{
-    AuditReport, Duration, SyncObjId, ThreadId, ThreadState, Time, Transition, Violation,
-    ViolationKind,
+    AuditReport, CpuId, Duration, SyncObjId, ThreadId, Time, Violation, ViolationKind,
 };
 
 /// Final state of one thread, as the engine saw it.
@@ -77,10 +79,8 @@ pub struct AuditInput<'a> {
     pub runnable_left: usize,
     /// Threads still blocked in `thr_join`.
     pub joiners_left: usize,
-    /// Full state timeline, when the run recorded one. Transitions at
-    /// equal timestamps appear in causal order, so a sequential scan sees
-    /// every intermediate occupancy state.
-    pub transitions: Option<&'a [Transition]>,
+    /// The online CPU-occupancy checker, fed every transition of the run.
+    pub occupancy: &'a OccupancyCheck,
 }
 
 /// Evaluate every conservation law against the run's final state.
@@ -92,9 +92,7 @@ pub fn run_audit(input: &AuditInput<'_>) -> AuditReport {
     check_cpu_time_conservation(input, &mut report);
     check_makespan_bounds(input, &mut report);
     check_lifecycles(input, &mut report);
-    if let Some(transitions) = input.transitions {
-        check_cpu_occupancy(transitions, &mut report);
-    }
+    check_cpu_occupancy(input.occupancy, &mut report);
 
     report
 }
@@ -235,50 +233,95 @@ fn check_lifecycles(input: &AuditInput<'_>, report: &mut AuditReport) {
     }
 }
 
-/// Law 5: replay the recorded state timeline and verify mutual exclusion
-/// of CPUs — at no instant do two threads run on one CPU, or one thread
-/// on two CPUs.
-fn check_cpu_occupancy(transitions: &[Transition], report: &mut AuditReport) {
+/// Law 5: mutual exclusion of CPUs — at no instant do two threads run on
+/// one CPU, or one thread on two CPUs. The verdict is whatever the online
+/// checker saw over the run's whole timeline.
+fn check_cpu_occupancy(occupancy: &OccupancyCheck, report: &mut AuditReport) {
     report.checks += 1;
-    // Flat tables indexed by cpu / thread id — this scan runs over the
-    // whole timeline on every streaming prediction, so it must stay a
-    // few ns per transition. Ids are small and dense; grow on demand.
-    let mut on_cpu: Vec<Option<ThreadId>> = Vec::new();
-    let mut cpu_of: Vec<Option<u32>> = Vec::new();
-    for tr in transitions {
-        let tix = tr.thread.0 as usize;
-        if tix >= cpu_of.len() {
-            cpu_of.resize(tix + 1, None);
+    report.violations.extend(occupancy.violations.iter().cloned());
+}
+
+/// Law 5, checked online: fed each state transition as it is made, it
+/// tracks which thread occupies which CPU and records a violation the
+/// moment a thread is dispatched onto a CPU another thread still runs on.
+/// Transitions at equal timestamps must arrive in causal order, so the
+/// checker sees every intermediate occupancy state.
+///
+/// The engine and the oracle feed one on every run, traced or not, and a
+/// paused engine carries its checker in the snapshot.
+#[derive(Debug, Clone, Default)]
+pub struct OccupancyCheck {
+    // Flat tables indexed by cpu / thread id: this runs on every state
+    // change, so it must stay a few ns per transition. Ids are small and
+    // dense; grow on demand.
+    on_cpu: Vec<Option<ThreadId>>,
+    cpu_of: Vec<Option<u32>>,
+    violations: Vec<Violation>,
+}
+
+impl OccupancyCheck {
+    /// `thread` changed state at `time`: it now runs on `cpu`, or on no
+    /// CPU at all. Whatever the new state is, the thread first leaves the
+    /// CPU it ran on.
+    #[inline]
+    pub fn transition(&mut self, time: Time, thread: ThreadId, cpu: Option<CpuId>) {
+        let tix = thread.0 as usize;
+        if tix >= self.cpu_of.len() {
+            self.cpu_of.resize(tix + 1, None);
         }
-        // Whatever the new state is, the thread first leaves its old CPU.
-        if let Some(c) = cpu_of[tix].take() {
-            on_cpu[c as usize] = None;
+        if let Some(c) = self.cpu_of[tix].take() {
+            self.on_cpu[c as usize] = None;
         }
-        if let ThreadState::Running { cpu, .. } = tr.state {
-            let cix = cpu.0 as usize;
-            if cix >= on_cpu.len() {
-                on_cpu.resize(cix + 1, None);
-            }
-            if let Some(other) = on_cpu[cix] {
-                violation(
-                    report,
-                    ViolationKind::CpuOversubscribed,
-                    format!(
-                        "at t={}: {} dispatched onto {cpu} while {other} still runs there",
-                        tr.time, tr.thread
-                    ),
-                );
-            }
-            on_cpu[cix] = Some(tr.thread);
-            cpu_of[tix] = Some(cpu.0);
+        let Some(cpu) = cpu else { return };
+        let cix = cpu.0 as usize;
+        if cix >= self.on_cpu.len() {
+            self.on_cpu.resize(cix + 1, None);
         }
+        if let Some(other) = self.on_cpu[cix] {
+            self.oversubscribed(time, thread, cpu, other);
+        }
+        self.on_cpu[cix] = Some(thread);
+        self.cpu_of[tix] = Some(cpu.0);
+    }
+
+    #[cold]
+    fn oversubscribed(&mut self, time: Time, thread: ThreadId, cpu: CpuId, other: ThreadId) {
+        self.violations.push(Violation {
+            law: ViolationKind::CpuOversubscribed,
+            detail: format!(
+                "at t={time}: {thread} dispatched onto {cpu} while {other} still runs there"
+            ),
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vppb_model::{CpuId, LwpId};
+    use vppb_model::{LwpId, ThreadState, Transition};
+
+    /// A checker that saw no transition.
+    static NO_TRANSITIONS: OccupancyCheck =
+        OccupancyCheck { on_cpu: Vec::new(), cpu_of: Vec::new(), violations: Vec::new() };
+
+    /// Feed a recorded timeline to the checker, one transition at a time.
+    fn feed(check: &mut OccupancyCheck, timeline: &[Transition]) {
+        for tr in timeline {
+            let cpu = match tr.state {
+                ThreadState::Running { cpu, .. } => Some(cpu),
+                _ => None,
+            };
+            check.transition(tr.time, tr.thread, cpu);
+        }
+    }
+
+    fn running(t: u64, th: u32) -> Transition {
+        Transition {
+            time: Time(t),
+            thread: ThreadId(th),
+            state: ThreadState::Running { cpu: CpuId(0), lwp: LwpId(0) },
+        }
+    }
 
     fn clean_thread(id: u32, cpu_ns: u64, wall: u64) -> ThreadAudit {
         ThreadAudit {
@@ -303,7 +346,7 @@ mod tests {
             barriers: &[],
             runnable_left: 0,
             joiners_left: 0,
-            transitions: None,
+            occupancy: &NO_TRANSITIONS,
         }
     }
 
@@ -377,40 +420,62 @@ mod tests {
     }
 
     #[test]
-    fn oversubscribed_cpu_is_caught_in_timeline() {
-        let running = |t: u64, th: u32| Transition {
-            time: Time(t),
-            thread: ThreadId(th),
-            state: ThreadState::Running { cpu: CpuId(0), lwp: LwpId(0) },
-        };
+    fn oversubscribed_cpu_is_caught_online() {
         let busy = [Duration(20)];
         let threads = [clean_thread(1, 10, 100), clean_thread(4, 10, 100)];
+        let mut check = OccupancyCheck::default();
+        check.transition(Time(0), ThreadId(1), Some(CpuId(0)));
+        assert!(check.violations.is_empty(), "one thread on CPU0 is fine");
+        // T4 lands on CPU0 while T1 runs: caught as it happens.
+        check.transition(Time(5), ThreadId(4), Some(CpuId(0)));
+        assert_eq!(check.violations.len(), 1);
         let mut input = base_input(&busy, &threads, &[]);
-        let timeline = [running(0, 1), running(5, 4)]; // T4 lands on CPU0 while T1 runs
-        input.transitions = Some(&timeline);
+        input.occupancy = &check;
         let report = run_audit(&input);
-        assert!(report.violations.iter().any(|v| v.law == ViolationKind::CpuOversubscribed));
+        let laws: Vec<ViolationKind> = report.violations.iter().map(|v| v.law).collect();
+        assert_eq!(laws, [ViolationKind::CpuOversubscribed]);
+        assert_eq!(
+            report.violations[0].detail,
+            "at t=0.000000: T4 dispatched onto CPU0 while T1 still runs there"
+        );
+    }
+
+    #[test]
+    fn checker_cloned_mid_timeline_reports_what_the_whole_feed_does() {
+        let timeline = [
+            running(0, 1),
+            Transition { time: Time(3), thread: ThreadId(1), state: ThreadState::Runnable },
+            running(3, 2),
+            running(7, 4), // T4 lands on CPU0 while T2 runs
+            running(9, 1), // and T1 while T4 runs
+        ];
+        let mut whole = OccupancyCheck::default();
+        feed(&mut whole, &timeline);
+        assert_eq!(whole.violations.len(), 2, "{:?}", whole.violations);
+        for cut in 0..=timeline.len() {
+            let mut head = OccupancyCheck::default();
+            feed(&mut head, &timeline[..cut]);
+            let mut resumed = head.clone();
+            feed(&mut resumed, &timeline[cut..]);
+            assert_eq!(resumed.violations, whole.violations, "cut at {cut}");
+        }
     }
 
     #[test]
     fn clean_timeline_passes_occupancy() {
         let busy = [Duration(20)];
         let threads = [clean_thread(1, 10, 100), clean_thread(4, 10, 100)];
+        let mut check = OccupancyCheck::default();
+        feed(
+            &mut check,
+            &[
+                running(0, 1),
+                Transition { time: Time(5), thread: ThreadId(1), state: ThreadState::Runnable },
+                running(5, 4),
+            ],
+        );
         let mut input = base_input(&busy, &threads, &[]);
-        let timeline = [
-            Transition {
-                time: Time(0),
-                thread: ThreadId(1),
-                state: ThreadState::Running { cpu: CpuId(0), lwp: LwpId(0) },
-            },
-            Transition { time: Time(5), thread: ThreadId(1), state: ThreadState::Runnable },
-            Transition {
-                time: Time(5),
-                thread: ThreadId(4),
-                state: ThreadState::Running { cpu: CpuId(0), lwp: LwpId(0) },
-            },
-        ];
-        input.transitions = Some(&timeline);
+        input.occupancy = &check;
         let report = run_audit(&input);
         assert!(report.is_clean(), "unexpected violations: {}", report.render());
     }

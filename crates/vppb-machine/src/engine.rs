@@ -14,7 +14,7 @@
 //! configuration), and *predicted* runs (the Simulator feeds replay
 //! tapes plus a [`CallInterceptor`] implementing the §3.2 replay rules).
 
-use crate::audit::{self, AuditInput, BarrierAudit, SyncAudit, ThreadAudit};
+use crate::audit::{self, AuditInput, BarrierAudit, OccupancyCheck, SyncAudit, ThreadAudit};
 use crate::calendar::Calendar;
 use crate::hooks::{event_kind_of, Hooks};
 use crate::idmap::{IdMap, ManipTable};
@@ -77,7 +77,9 @@ pub struct RunOptions<'a> {
     /// Livelock / runaway guards.
     pub limits: RunLimits,
     /// Collect the full transition/event timeline (costs memory on long
-    /// runs; speed-up measurements can turn it off).
+    /// runs; speed-up measurements can turn it off). The audit is complete
+    /// either way: the CPU-occupancy law is checked online as each
+    /// transition is made, not by scanning the recorded timeline.
     pub record_trace: bool,
     /// Structured scheduling observer ([`crate::MetricsObserver`],
     /// [`crate::SchedTrace`], …). `None` skips every emission.
@@ -650,6 +652,8 @@ struct Engine<'a, 'o> {
     next_id: u32,
     live: u32,
     des_events: u64,
+    /// Online CPU-occupancy law (audit law 5), fed every transition.
+    occupancy: OccupancyCheck,
     transitions: SegVec<Transition>,
     events: SegVec<PlacedEvent>,
     /// First DES event during which a program returned [`Action::Stall`]
@@ -732,6 +736,7 @@ impl<'a, 'o> Engine<'a, 'o> {
             next_id: ThreadId::FIRST_USER.0,
             live: 0,
             des_events: 0,
+            occupancy: OccupancyCheck::default(),
             transitions: SegVec::with_capacity(trace_hint.saturating_mul(3)),
             events: SegVec::with_capacity(trace_hint),
             stalled_at: None,
@@ -779,6 +784,11 @@ impl<'a, 'o> Engine<'a, 'o> {
 
     fn set_state(&mut self, tix: Tix, state: TState) {
         self.threads.state[tix] = state;
+        let cpu = match state {
+            TState::Running(c) => Some(CpuId(c as u32)),
+            _ => None,
+        };
+        self.occupancy.transition(self.now, self.threads.id[tix], cpu);
         if self.opts.record_trace {
             let s = self.viz_state(tix);
             self.transitions.push(Transition {
@@ -1443,6 +1453,7 @@ impl<'a, 'o> Engine<'a, 'o> {
         );
         self.by_id.insert(id, tix);
         self.live += 1;
+        self.occupancy.transition(self.now, id, None);
         if self.opts.record_trace {
             self.transitions.push(Transition {
                 time: self.now,
@@ -2231,6 +2242,7 @@ impl<'a, 'o> Engine<'a, 'o> {
             next_id: self.next_id,
             live: self.live,
             des_events: self.des_events,
+            occupancy: self.occupancy,
             transitions: self.transitions,
             events: self.events,
         }
@@ -2319,6 +2331,7 @@ impl<'a, 'o> Engine<'a, 'o> {
             next_id: snap.next_id,
             live: snap.live,
             des_events: snap.des_events,
+            occupancy: snap.occupancy,
             transitions: snap.transitions,
             events: snap.events,
             stalled_at: None,
@@ -2408,7 +2421,7 @@ impl<'a, 'o> Engine<'a, 'o> {
             .collect()
     }
 
-    fn run_audit(&self, transitions: Option<&[Transition]>) -> vppb_model::AuditReport {
+    fn run_audit(&self) -> vppb_model::AuditReport {
         let cpu_busy: Vec<Duration> = self.cpus.iter().map(|c| c.busy).collect();
         let thread_audits: Vec<ThreadAudit> = (0..self.threads.len())
             .map(|tix| ThreadAudit {
@@ -2430,16 +2443,16 @@ impl<'a, 'o> Engine<'a, 'o> {
             barriers: &barriers,
             runnable_left,
             joiners_left: self.joiners.len(),
-            transitions,
+            occupancy: &self.occupancy,
         })
     }
 
     fn into_result(mut self) -> RunResult {
-        // Flatten the (possibly segmented) trace first; the audit and the
-        // event sort both want the contiguous form the result carries.
+        // Flatten the (possibly segmented) trace into the contiguous form
+        // the result carries.
         let transitions = std::mem::take(&mut self.transitions).into_vec();
         let mut events = std::mem::take(&mut self.events).into_vec();
-        let audit = self.run_audit(if self.opts.record_trace { Some(&transitions) } else { None });
+        let audit = self.run_audit();
         let wall_time = self.now;
         let mut threads = BTreeMap::new();
         for tix in 0..self.threads.len() {
@@ -2482,9 +2495,10 @@ impl<'a, 'o> Engine<'a, 'o> {
 
 /// A paused engine: every piece of mutable scheduler state — run queues,
 /// the parked-LWP heap, sync-object wait sets, per-thread clocks and
-/// in-flight calls, the pending DES event heap, and the accumulated
-/// trace — detached from the app/config/options it ran under. Opaque by
-/// design: the only way to act on one is to resume it with [`run_stream`].
+/// in-flight calls, the pending DES event heap, the online CPU-occupancy
+/// checker, and the accumulated trace — detached from the
+/// app/config/options it ran under. Opaque by design: the only way to act
+/// on one is to resume it with [`run_stream`].
 pub struct EngineSnapshot {
     now: Time,
     seq: u64,
@@ -2509,6 +2523,7 @@ pub struct EngineSnapshot {
     next_id: u32,
     live: u32,
     des_events: u64,
+    occupancy: OccupancyCheck,
     transitions: SegVec<Transition>,
     events: SegVec<PlacedEvent>,
 }
@@ -2557,6 +2572,7 @@ impl EngineSnapshot {
             next_id: self.next_id,
             live: self.live,
             des_events: self.des_events,
+            occupancy: self.occupancy.clone(),
             transitions: self.transitions.clone(),
             events: self.events.clone(),
         })

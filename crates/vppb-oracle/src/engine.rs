@@ -32,7 +32,9 @@
 use crate::nsync::{NBarrier, NCond, NMutex, NOnce, NRw, NRwWaiter, NSem};
 use crate::queues::{NaiveEvents, NaiveModel, NaiveRq};
 use std::collections::BTreeMap;
-use vppb_machine::audit::{run_audit, AuditInput, BarrierAudit, SyncAudit, ThreadAudit};
+use vppb_machine::audit::{
+    run_audit, AuditInput, BarrierAudit, OccupancyCheck, SyncAudit, ThreadAudit,
+};
 use vppb_machine::{event_kind_of, Intercept, RunOptions, RunResult, SchedEvent};
 use vppb_model::{
     Binding, BlockReason, CodeAddr, CpuId, Duration, EventResult, ExecutionTrace, LwpId, LwpPolicy,
@@ -224,6 +226,8 @@ struct Oracle<'a, 'o> {
     next_id: u32,
     live: u32,
     des_events: u64,
+    /// The engine's online CPU-occupancy checker, fed the same way.
+    occupancy: OccupancyCheck,
     transitions: Vec<Transition>,
     events: Vec<PlacedEvent>,
 }
@@ -286,6 +290,7 @@ impl<'a, 'o> Oracle<'a, 'o> {
             next_id: ThreadId::FIRST_USER.0,
             live: 0,
             des_events: 0,
+            occupancy: OccupancyCheck::default(),
             transitions: Vec::new(),
             events: Vec::new(),
         }
@@ -326,6 +331,11 @@ impl<'a, 'o> Oracle<'a, 'o> {
 
     fn set_state(&mut self, tix: Tix, state: TState) {
         self.threads[tix].state = state;
+        let cpu = match state {
+            TState::Running(c) => Some(CpuId(c as u32)),
+            _ => None,
+        };
+        self.occupancy.transition(self.now, self.threads[tix].id, cpu);
         if self.opts.record_trace {
             let s = self.viz_state(tix);
             self.transitions.push(Transition {
@@ -995,6 +1005,7 @@ impl<'a, 'o> Oracle<'a, 'o> {
         });
         self.by_id.insert(id, tix);
         self.live += 1;
+        self.occupancy.transition(self.now, id, None);
         if self.opts.record_trace {
             self.transitions.push(Transition {
                 time: self.now,
@@ -1794,7 +1805,7 @@ impl<'a, 'o> Oracle<'a, 'o> {
             barriers: &barriers,
             runnable_left,
             joiners_left: self.joiners.len(),
-            transitions: if self.opts.record_trace { Some(&self.transitions) } else { None },
+            occupancy: &self.occupancy,
         })
     }
 

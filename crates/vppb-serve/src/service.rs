@@ -331,13 +331,36 @@ pub struct ServiceMetrics {
     pub durability: Option<DurabilityStats>,
 }
 
-/// A stored upload: the salvaged log plus what recovery reported, and the
-/// raw uploaded bytes so a streaming session can grow from them.
+/// A stored log: the salvaged log plus what recovery reported, and the
+/// raw bytes so a streaming session can grow from them.
 struct StoredLog {
     log: TraceLog,
     salvage: SalvageReport,
     diagnostics: Vec<String>,
     raw: Vec<u8>,
+}
+
+impl StoredLog {
+    /// Lenient-load raw log bytes: what an upload, a store fault-in and a
+    /// grown stream version all store.
+    fn from_raw(raw: Vec<u8>) -> Result<StoredLog, VppbError> {
+        let loaded = load_lenient_bytes(&raw)?;
+        Ok(StoredLog {
+            diagnostics: loaded.diagnostics.iter().map(|d| d.to_string()).collect(),
+            log: loaded.log,
+            salvage: loaded.salvage,
+            raw,
+        })
+    }
+}
+
+/// A grown stream version, registered without a copy: the first `len`
+/// bytes of the buffer of the stream `stream`. [`PredictionService`]
+/// builds its [`StoredLog`] from that prefix on first use.
+#[derive(Clone, Copy)]
+struct Version {
+    stream: ContentId,
+    len: usize,
 }
 
 /// A live streaming session behind `POST /logs/{id}/append`. The stream
@@ -408,8 +431,14 @@ fn absorb(agg: &mut SchedMetrics, m: &SchedMetrics) {
 type ResultMemo = HashMap<(ContentId, u64), (Arc<PredictResponse>, bool)>;
 
 /// The shared, thread-safe service state behind every endpoint.
+///
+/// Lock order: a session lock may be held while `versions` is taken (an
+/// append registers its version), so nothing takes a session lock while
+/// holding `logs` or `versions`.
 pub struct PredictionService {
     logs: Mutex<HashMap<ContentId, Arc<StoredLog>>>,
+    /// Acked stream versions, built into `logs` on first use.
+    versions: Mutex<HashMap<ContentId, Version>>,
     plans: PlanCache,
     results: Mutex<ResultMemo>,
     uni_walls: Mutex<HashMap<(ContentId, ModelKind), u64>>,
@@ -424,6 +453,7 @@ impl PredictionService {
     pub fn new(cache_bytes: u64) -> PredictionService {
         PredictionService {
             logs: Mutex::new(HashMap::new()),
+            versions: Mutex::new(HashMap::new()),
             plans: PlanCache::new(cache_bytes),
             results: Mutex::new(HashMap::new()),
             uni_walls: Mutex::new(HashMap::new()),
@@ -486,36 +516,29 @@ impl PredictionService {
     /// same id without replacing the stored log.
     pub fn upload(&self, raw: &[u8]) -> Result<UploadResponse, ServeError> {
         self.check_available()?;
-        let loaded = load_lenient_bytes(raw)
+        let stored = StoredLog::from_raw(raw.to_vec())
             .map_err(|e| ServeError::BadRequest(format!("unsalvageable log: {e}")))?;
         // The id is the hash of the *salvaged* log's canonical binary
         // encoding: two damaged uploads that salvage to the same log — or
         // the same log in text vs binary form — share an id, a plan, and
         // every memoized prediction.
-        let canonical = binlog::encode(&loaded.log)
+        let canonical = binlog::encode(&stored.log)
             .map_err(|e| ServeError::Internal(format!("canonical encode: {e}")))?;
         let id = ContentId::of_bytes(&canonical);
         let response = UploadResponse {
             id: id.to_string(),
-            program: loaded.log.header.program.clone(),
-            records: loaded.log.len(),
-            clean: loaded.is_pristine(),
-            diagnostics: loaded.diagnostics.iter().map(|d| d.to_string()).collect(),
-            salvage: loaded.salvage.clone(),
+            program: stored.log.header.program.clone(),
+            records: stored.log.len(),
+            clean: stored.diagnostics.is_empty() && stored.salvage.is_clean(),
+            diagnostics: stored.diagnostics.clone(),
+            salvage: stored.salvage.clone(),
         };
         // Durability before acknowledgement: the raw bytes must be in the
         // content store (object + fsynced manifest) before the id goes out.
         if let Some(d) = &self.durable {
             d.put_object(id, raw).map_err(|e| self.degrade("storing upload", e))?;
         }
-        self.logs.lock().expect("logs lock").entry(id).or_insert_with(|| {
-            Arc::new(StoredLog {
-                log: loaded.log,
-                salvage: loaded.salvage,
-                diagnostics: response.diagnostics.clone(),
-                raw: raw.to_vec(),
-            })
-        });
+        self.logs.lock().expect("logs lock").entry(id).or_insert_with(|| Arc::new(stored));
         self.counters.lock().expect("counters lock").uploads += 1;
         Ok(response)
     }
@@ -543,7 +566,19 @@ impl PredictionService {
                     std::iter::once(stored.raw.as_slice())
                         .chain(chunks.iter().map(|c| c.as_slice())),
                 );
-                let current = self.register_session_content(id, &session);
+                // Register the rebuilt content as the original appends did,
+                // so memo keys and plain predicts of the grown content work
+                // after a restart. The stream id itself while the rebuilt
+                // buffer does not parse (a journal whose tail chunk tore the
+                // log; the next append can still complete it, exactly like
+                // live).
+                let current = match session_content(&session) {
+                    Some(cid) => {
+                        self.register_version(cid, id, session.bytes().len());
+                        cid
+                    }
+                    None => id,
+                };
                 (session, current)
             }
             _ => {
@@ -560,30 +595,10 @@ impl PredictionService {
         Ok(Arc::clone(self.sessions.lock().expect("sessions lock").entry(id).or_insert(fresh)))
     }
 
-    /// Register a rebuilt session's current content in the log map (the
-    /// in-memory half of what the original appends did), so memo keys and
-    /// plain predicts of the grown content work after a restart. Returns
-    /// the current content id — the stream id itself when the rebuilt
-    /// buffer is not parseable (a journal whose tail chunk tore the log;
-    /// the next append can still complete it, exactly like live).
-    fn register_session_content(
-        &self,
-        sid: ContentId,
-        session: &vppb_sim::StreamSession,
-    ) -> ContentId {
-        let Some(state) = session.state() else { return sid };
-        let Ok(canonical) = binlog::encode(&state.loaded.log) else { return sid };
-        let cid = ContentId::of_bytes(&canonical);
-        let diagnostics: Vec<String> =
-            state.loaded.diagnostics.iter().map(|d| d.to_string()).collect();
-        let entry = StoredLog {
-            log: state.loaded.log.clone(),
-            salvage: state.loaded.salvage.clone(),
-            diagnostics,
-            raw: session.bytes().to_vec(),
-        };
-        self.logs.lock().expect("logs lock").entry(cid).or_insert_with(|| Arc::new(entry));
-        cid
+    /// Register `id` as the first `len` bytes of the stream `stream`'s
+    /// buffer. The buffer only grows, so the prefix stays valid.
+    fn register_version(&self, id: ContentId, stream: ContentId, len: usize) {
+        self.versions.lock().expect("versions lock").entry(id).or_insert(Version { stream, len });
     }
 
     /// `POST /logs/{id}/append`: grow the stream behind `id` by one raw
@@ -611,15 +626,13 @@ impl PredictionService {
         let canonical = binlog::encode(&state.loaded.log)
             .map_err(|e| ServeError::Internal(format!("canonical encode: {e}")))?;
         let cid = ContentId::of_bytes(&canonical);
-        let diagnostics: Vec<String> =
-            state.loaded.diagnostics.iter().map(|d| d.to_string()).collect();
         let response = AppendResponse {
             id: id.to_string(),
             content_id: cid.to_string(),
             bytes: stream.session.bytes().len(),
             records: state.loaded.log.len(),
             clean: state.loaded.is_pristine(),
-            diagnostics: diagnostics.clone(),
+            diagnostics: state.loaded.diagnostics.iter().map(|d| d.to_string()).collect(),
             salvage: state.loaded.salvage.clone(),
         };
         // The grown buffer goes into the content store before the ack:
@@ -629,16 +642,10 @@ impl PredictionService {
             d.put_object(cid, stream.session.bytes())
                 .map_err(|e| self.degrade("storing grown log", e))?;
         }
-        // Register the grown content like an upload, so plain predicts and
-        // sweeps over the new id work and the memo keys stay content-true.
-        self.logs.lock().expect("logs lock").entry(cid).or_insert_with(|| {
-            Arc::new(StoredLog {
-                log: state.loaded.log.clone(),
-                salvage: state.loaded.salvage.clone(),
-                diagnostics,
-                raw: stream.session.bytes().to_vec(),
-            })
-        });
+        // Register the grown content without copying it, so plain predicts
+        // and sweeps over the new id work and the memo keys stay
+        // content-true: `stored` builds it from this prefix on first use.
+        self.register_version(cid, sid, stream.session.bytes().len());
         stream.current = cid;
         self.counters.lock().expect("counters lock").appends += 1;
         Ok(response)
@@ -885,9 +892,14 @@ impl PredictionService {
         let lookups = c.result_hits + c.result_misses;
         // In durable mode the store is authoritative (restored logs may
         // not be faulted into memory yet); in-memory entries that raced
-        // ahead of it are counted too.
+        // ahead of it are counted too. A stream version counts from its
+        // ack, built or not.
         let logs_stored = {
-            let in_memory = self.logs.lock().expect("logs lock").len();
+            let in_memory = {
+                let logs = self.logs.lock().expect("logs lock");
+                let versions = self.versions.lock().expect("versions lock");
+                logs.len() + versions.keys().filter(|id| !logs.contains_key(id)).count()
+            };
             match &self.durable {
                 Some(d) => in_memory.max(d.store.len()),
                 None => in_memory,
@@ -922,26 +934,47 @@ impl PredictionService {
         if let Some(s) = self.logs.lock().expect("logs lock").get(&id).cloned() {
             return Ok(s);
         }
-        // After a restart the in-memory map starts empty; fault the log
-        // in from the content store on first touch (CRC-verified read).
-        let Some(d) = &self.durable else {
-            return Err(ServeError::NotFound(format!("no stored log with id `{id}`")));
+        // Build the log on first use: a grown stream version from its
+        // buffer prefix, or — the in-memory map starts empty after a
+        // restart — from the content store (CRC-verified read).
+        let raw = match self.version_bytes(id) {
+            Some(raw) => raw,
+            None => {
+                let Some(d) = &self.durable else {
+                    return Err(ServeError::NotFound(format!("no stored log with id `{id}`")));
+                };
+                d.store
+                    .get(id)
+                    .map_err(|e| ServeError::Internal(format!("reading stored log `{id}`: {e}")))?
+                    .ok_or_else(|| ServeError::NotFound(format!("no stored log with id `{id}`")))?
+            }
         };
-        let raw = d
-            .store
-            .get(id)
-            .map_err(|e| ServeError::Internal(format!("reading stored log `{id}`: {e}")))?
-            .ok_or_else(|| ServeError::NotFound(format!("no stored log with id `{id}`")))?;
-        let loaded = load_lenient_bytes(&raw)
-            .map_err(|e| ServeError::Internal(format!("re-salvaging stored log `{id}`: {e}")))?;
-        let entry = Arc::new(StoredLog {
-            diagnostics: loaded.diagnostics.iter().map(|d| d.to_string()).collect(),
-            log: loaded.log,
-            salvage: loaded.salvage,
-            raw,
-        });
+        let entry =
+            Arc::new(StoredLog::from_raw(raw).map_err(|e| {
+                ServeError::Internal(format!("re-salvaging stored log `{id}`: {e}"))
+            })?);
         Ok(Arc::clone(self.logs.lock().expect("logs lock").entry(id).or_insert(entry)))
     }
+
+    /// The bytes of a registered stream version: a copy of its stream's
+    /// buffer prefix. `None` while the live session does not hold that
+    /// prefix yet (a restart registers a rebuilt session's content before
+    /// the session is reachable); the content store has every acked
+    /// version. Takes the session lock with neither `logs` nor `versions`
+    /// held.
+    fn version_bytes(&self, id: ContentId) -> Option<Vec<u8>> {
+        let v = self.versions.lock().expect("versions lock").get(&id).copied()?;
+        let slot = self.sessions.lock().expect("sessions lock").get(&v.stream).cloned()?;
+        let stream = slot.lock().expect("session lock");
+        Some(stream.session.bytes().get(..v.len)?.to_vec())
+    }
+}
+
+/// Content id of a session's current (salvaged) log; `None` while its
+/// buffer has not parsed.
+fn session_content(session: &vppb_sim::StreamSession) -> Option<ContentId> {
+    let canonical = binlog::encode(&session.state()?.loaded.log).ok()?;
+    Some(ContentId::of_bytes(&canonical))
 }
 
 #[cfg(test)]
@@ -1088,6 +1121,108 @@ mod tests {
         let after = svc.append(&up.id, &bytes[mid..]).unwrap();
         assert_eq!(after.bytes, bytes.len());
         assert!(after.clean, "completed log needs no salvage");
+    }
+
+    /// A binary log with a few hundred records: three workers taking one
+    /// lock twenty times each.
+    fn long_recorded_bytes() -> Vec<u8> {
+        let mut b = AppBuilder::new("svc-long", "svc_long.c");
+        let m = b.mutex();
+        let w = b.func("w", move |f| {
+            f.loop_n(20, |f| {
+                f.work_us(40);
+                f.lock(m);
+                f.work_us(5);
+                f.unlock(m);
+            })
+        });
+        b.main(move |f| {
+            let s = f.slot();
+            f.loop_n(3, |f| f.create_into(w, s));
+            f.loop_n(3, |f| f.join(s));
+        });
+        let log = record(&b.build().unwrap(), &RecordOptions::default()).unwrap().log;
+        binlog::encode(&log).unwrap()
+    }
+
+    fn json<T: serde::Serialize>(v: &T) -> Vec<u8> {
+        serde_json::to_vec(v).unwrap()
+    }
+
+    #[test]
+    fn every_stream_version_answers_like_a_fresh_upload_of_its_prefix() {
+        let bytes = long_recorded_bytes();
+        let b = vppb_model::chunk::record_boundaries(&bytes);
+        let n = b.len();
+        // Upload a prefix, then three chunks: the second ends three bytes
+        // into a record, the third completes the log.
+        let cuts = [b[n / 4], b[n / 2], b[3 * n / 4] + 3, bytes.len()];
+        let svc = PredictionService::new(1 << 20);
+        let up = svc.upload(&bytes[..cuts[0]]).unwrap();
+        let mut versions = Vec::new();
+        for w in cuts.windows(2) {
+            let ap = svc.append(&up.id, &bytes[w[0]..w[1]]).unwrap();
+            assert_eq!(ap.bytes, w[1]);
+            versions.push((ap.content_id, ap.bytes, !ap.diagnostics.is_empty()));
+        }
+        let torn: Vec<bool> = versions.iter().map(|v| v.2).collect();
+        assert_eq!(torn, [false, true, false], "only the second chunk tears a record");
+        assert_eq!(svc.metrics().logs_stored, 4, "the upload and three acked versions");
+        assert_eq!(svc.logs.lock().unwrap().len(), 1, "no version is built before use");
+
+        for (cid, len, _) in &versions {
+            let fresh = PredictionService::new(1 << 20);
+            assert_eq!(&fresh.upload(&bytes[..*len]).unwrap().id, cid, "content-true ids");
+            let predict =
+                |s: &PredictionService| json(&*s.predict(&PredictRequest::new(cid, 4)).unwrap().0);
+            assert_eq!(predict(&svc), predict(&fresh), "{cid}: predict");
+            let sweep = |s: &PredictionService| {
+                json(
+                    &s.sweep(&SweepRequest {
+                        id: cid.clone(),
+                        cpus: vec![1, 2, 4],
+                        lwps: Some(vec!["per-thread".into(), "2".into()]),
+                        comm_delay_us: None,
+                        model: None,
+                        jobs: 1,
+                    })
+                    .unwrap(),
+                )
+            };
+            assert_eq!(sweep(&svc), sweep(&fresh), "{cid}: sweep");
+            let salvage = |s: &PredictionService| {
+                let (report, diagnostics) = s.salvage_of(cid).unwrap();
+                (json(&report), diagnostics)
+            };
+            assert_eq!(salvage(&svc), salvage(&fresh), "{cid}: salvage");
+            // A follow stream opened on the version's id, not the stream's.
+            let follow = |s: &PredictionService| json(&*s.predict_follow(cid, 3).unwrap().0);
+            assert_eq!(follow(&svc), follow(&fresh), "{cid}: follow");
+        }
+        assert_eq!(svc.metrics().logs_stored, 4, "built versions are not counted twice");
+    }
+
+    #[test]
+    fn appends_hold_no_copy_of_the_grown_log() {
+        let bytes = long_recorded_bytes();
+        let b = vppb_model::chunk::record_boundaries(&bytes);
+        assert!(b.len() > 60, "fixture too small for 50 appends");
+        let svc = PredictionService::new(1 << 20);
+        let up = svc.upload(&bytes[..b[10]]).unwrap();
+        // A chunk that adds only a BEFORE salvages to the content before
+        // it, so 50 appends ack fewer than 50 distinct ids.
+        let mut acked = std::collections::HashSet::from([up.id.clone()]);
+        let mut last = String::new();
+        for k in 11..=60 {
+            last = svc.append(&up.id, &bytes[b[k - 1]..b[k]]).unwrap().content_id;
+            acked.insert(last.clone());
+        }
+        assert!(acked.len() > 20, "{} distinct versions", acked.len());
+        assert_eq!(svc.logs.lock().unwrap().len(), 1, "only the upload is held");
+        assert_eq!(svc.metrics().logs_stored, acked.len(), "every acked content id counts");
+        svc.predict(&PredictRequest::new(&last, 4)).unwrap();
+        assert_eq!(svc.logs.lock().unwrap().len(), 2, "a plain predict builds its version");
+        assert_eq!(svc.metrics().logs_stored, acked.len());
     }
 
     fn scratch(name: &str) -> std::path::PathBuf {

@@ -518,17 +518,19 @@ impl FastState {
 
             // Assemble the output records, renumbering densely as we go.
             // Committed records carry dense sequence numbers already, so
-            // everything before the first drop or synthesized insert is
-            // copied verbatim in one memcpy; only the damaged tail takes
-            // the careful record-by-record path. (Salvage damage lives at
-            // the stream's ragged edge, so the tail is short.)
+            // everything before the first drop, or before the first record
+            // a synthesized insert follows, is copied verbatim in one
+            // memcpy; only the damaged tail takes the careful
+            // record-by-record path, which emits each record's inserts
+            // after it. (Salvage damage lives at the stream's ragged edge,
+            // so the tail is short.)
             let extra: usize = synth_after.values().map(Vec::len).sum();
             out = Vec::with_capacity(self.records.len() + extra + 1);
             let first_change = dropped
                 .first()
                 .copied()
                 .unwrap_or(usize::MAX)
-                .min(synth_after.keys().next().map(|&k| k + 1).unwrap_or(usize::MAX))
+                .min(synth_after.keys().next().copied().unwrap_or(usize::MAX))
                 .min(self.records.len());
             out.extend_from_slice(&self.records[..first_change]);
             let mut changed = 0u64;

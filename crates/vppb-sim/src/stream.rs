@@ -463,9 +463,10 @@ pub fn result_fingerprint(r: &RunResult) -> u64 {
 /// The chunk-equivalence check the test battery and `vppb fuzz --chunked`
 /// share: split `bytes` at record boundaries (seeded; every boundary for
 /// small logs), feed the chunks through a [`StreamSession`], and at every
-/// boundary compare the rolling prediction against a cold run of the
-/// concatenated prefix. Returns the number of boundaries checked, or a
-/// description of the first divergence.
+/// boundary compare the session's salvaged log (records, salvage report,
+/// diagnostics) with a cold load, and the rolling prediction with a cold
+/// run, of the concatenated prefix. Returns the number of boundaries
+/// checked, or a description of the first divergence.
 pub fn check_chunked_equivalence(
     bytes: &[u8],
     params: &SimParams,
@@ -481,6 +482,23 @@ pub fn check_chunked_equivalence(
     for (i, part) in chunks.iter().enumerate() {
         prefix.extend_from_slice(part);
         let append_err = session.append(part).err();
+        if let (None, Some(state), Ok((cold, _))) =
+            (&append_err, session.state(), load_lenient_traced(&prefix))
+        {
+            let fast = &state.loaded;
+            if fast.log != cold.log
+                || fast.salvage != cold.salvage
+                || fast.diagnostics != cold.diagnostics
+            {
+                return Err(format!(
+                    "chunk {i}/{}: the session's salvaged log ({} records) differs from a \
+                     cold load ({} records)",
+                    chunks.len(),
+                    fast.log.len(),
+                    cold.log.len(),
+                ));
+            }
+        }
         let inc = match append_err {
             Some(e) => Err(e),
             None => session.predict(params),

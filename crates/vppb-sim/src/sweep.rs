@@ -11,16 +11,22 @@
 //! once; every grid cell still gets its row in the resulting speed-up
 //! surface.
 //!
+//! A cell records no timeline: a sweep reports each configuration's wall
+//! time, utilization, DES cost and audit verdict, and nothing reads a
+//! cell's trace. The audit stays complete without one (the CPU-occupancy
+//! law is checked online).
+//!
 //! Determinism is untouched: each replay is an independent, fully seeded
-//! engine run, so a parallel sweep produces bit-identical results to
-//! serial [`crate::simulate`] calls (there is a regression test for it).
+//! engine run, so every point of a parallel sweep equals what serial
+//! [`crate::simulate`] calls report (there is a regression test for it).
 
 use crate::plan::ReplayPlan;
-use crate::sim::{build_replay_app, replay_with_engine, to_execution, SimulatedExecution};
+use crate::sim::{build_replay_app, replay_with_engine};
 use crate::sorter::analyze;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use vppb_machine::{run, RunOptions, RunResult};
 use vppb_model::{
     Duration, LwpPolicy, ModelKind, SimParams, ThreadId, ThreadManip, Time, TraceLog, VppbError,
 };
@@ -164,14 +170,11 @@ pub struct SweepPoint {
     pub error: Option<String>,
 }
 
-/// A completed sweep: the speed-up surface plus the full executions.
+/// A completed sweep: the speed-up surface.
 #[derive(Debug)]
 pub struct SweepOutcome {
     /// One row per grid cell, in grid order.
     pub points: Vec<SweepPoint>,
-    /// The full predicted executions, in grid order (traces, audits);
-    /// `None` where the cell's point carries an error instead.
-    pub executions: Vec<Option<SimulatedExecution>>,
     /// Predicted 1-CPU wall time the speed-ups are relative to.
     pub uni_wall: Time,
     /// Distinct configurations actually simulated (after dedup; includes
@@ -254,7 +257,7 @@ pub fn sweep_plan(
     .min(jobs.len())
     .max(1);
     let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<SimulatedExecution, VppbError>>>> =
+    let slots: Vec<Mutex<Option<Result<RunResult, VppbError>>>> =
         jobs.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|s| {
         for _ in 0..n_workers {
@@ -268,8 +271,9 @@ pub fn sweep_plan(
                 // The closure owns no shared mutable state, so resuming
                 // after its unwind observes nothing broken.
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    replay_with_engine(&app, plan, params, None, vppb_machine::run)
-                        .map(|r| to_execution(plan, params, r))
+                    replay_with_engine(&app, plan, params, None, |app, cfg, opts| {
+                        run(app, cfg, RunOptions { record_trace: false, ..opts })
+                    })
                 }))
                 .unwrap_or_else(|payload| {
                     Err(VppbError::ProgramError(format!(
@@ -282,7 +286,7 @@ pub fn sweep_plan(
         }
     });
 
-    let mut results: Vec<Result<SimulatedExecution, VppbError>> = Vec::with_capacity(jobs.len());
+    let mut results: Vec<Result<RunResult, VppbError>> = Vec::with_capacity(jobs.len());
     for slot in slots {
         results.push(slot.into_inner().expect("no poisoned sweep worker").expect("job ran"));
     }
@@ -290,7 +294,7 @@ pub fn sweep_plan(
     // The 1-CPU reference every speed-up divides by has no cell to carry
     // its error; without it the surface is meaningless.
     let uni_wall = match &results[uni_job] {
-        Ok(exec) => exec.wall_time,
+        Ok(r) => r.wall_time,
         Err(e) => {
             return Err(VppbError::ProgramError(format!(
                 "the 1-CPU reference run failed, so no speed-up can be computed: {e}"
@@ -300,14 +304,13 @@ pub fn sweep_plan(
     let mut seen_job = vec![false; jobs.len()];
     seen_job[uni_job] = true; // the reference doesn't claim a cell
     let mut points = Vec::with_capacity(configs.len());
-    let mut executions = Vec::with_capacity(configs.len());
     for (cell, &job) in configs.iter().zip(&cell_jobs) {
         let deduplicated = std::mem::replace(&mut seen_job[job], true);
         match &results[job] {
-            Ok(exec) => {
-                let wall = exec.wall_time;
-                let busy: u64 = exec.cpu_busy.iter().map(|d| d.nanos()).sum();
-                let capacity = wall.nanos().saturating_mul(exec.cpu_busy.len() as u64);
+            Ok(r) => {
+                let wall = r.wall_time;
+                let busy: u64 = r.cpu_busy.iter().map(|d| d.nanos()).sum();
+                let capacity = wall.nanos().saturating_mul(r.cpu_busy.len() as u64);
                 points.push(SweepPoint {
                     label: cell.label.clone(),
                     cpus: cell.params.machine.cpus,
@@ -319,12 +322,11 @@ pub fn sweep_plan(
                         uni_wall.nanos() as f64 / wall.nanos() as f64
                     },
                     utilization: if capacity == 0 { 0.0 } else { busy as f64 / capacity as f64 },
-                    des_events: exec.des_events,
-                    audit_clean: exec.audit.is_clean(),
+                    des_events: r.des_events,
+                    audit_clean: r.audit.is_clean(),
                     deduplicated,
                     error: None,
                 });
-                executions.push(Some(exec.clone()));
             }
             Err(e) => {
                 points.push(SweepPoint {
@@ -339,9 +341,8 @@ pub fn sweep_plan(
                     deduplicated,
                     error: Some(e.to_string()),
                 });
-                executions.push(None);
             }
         }
     }
-    Ok(SweepOutcome { points, executions, uni_wall, unique_runs: jobs.len(), workers: n_workers })
+    Ok(SweepOutcome { points, uni_wall, unique_runs: jobs.len(), workers: n_workers })
 }

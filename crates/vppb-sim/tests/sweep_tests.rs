@@ -1,11 +1,17 @@
-//! Sweep-engine regression tests: a parallel sweep must be *bit-identical*
-//! to running [`vppb_sim::simulate`] serially for every configuration —
-//! same transitions, same events, same wall clock, same audit — and its
-//! speed-up surface must match what serial `predict` invocations compute.
+//! Sweep-engine regression tests: every point of a parallel sweep must
+//! equal what serial [`vppb_sim::simulate`] reports for its configuration
+//! — same wall clock, same DES cost, same utilization, same audit verdict
+//! — and its speed-up surface must match what serial `predict`
+//! invocations compute. Sweep cells record no trace, so a run without a
+//! trace must also equal the same run with one.
 
-use vppb_model::{FaultInjection, LwpPolicy, SimParams, Time, TraceLog};
+use vppb_machine::{run, RunOptions, RunResult};
+use vppb_model::{FaultInjection, LwpPolicy, ModelKind, SimParams, Time, TraceLog};
 use vppb_recorder::{record, RecordOptions};
-use vppb_sim::{simulate, sweep, SweepConfig, SweepGrid};
+use vppb_sim::{
+    analyze, build_replay_app, replay_with_engine, simulate, sweep, SweepConfig, SweepGrid,
+    SweepPoint,
+};
 use vppb_threads::AppBuilder;
 use vppb_workloads::{prodcons, splash, KernelParams};
 
@@ -34,45 +40,97 @@ fn workloads() -> Vec<(&'static str, TraceLog)> {
     ]
 }
 
+/// Both scheduler models × {1, 2, 4, 8} CPUs × {per-thread, fixed 2} LWPs.
+fn identity_grid() -> Vec<SweepConfig> {
+    let configs = SweepGrid::over_cpus([1, 2, 4, 8])
+        .with_lwps([LwpPolicy::PerThread, LwpPolicy::Fixed(2)])
+        .with_models([ModelKind::SolarisTs, ModelKind::AsyncPool])
+        .configs();
+    assert_eq!(configs.len(), 16, "16-config grid");
+    configs
+}
+
+/// What a sweep point reports about its run, in comparable form.
+#[derive(Debug, PartialEq)]
+struct Cell {
+    wall_ns: u64,
+    des_events: u64,
+    audit_clean: bool,
+    utilization: f64,
+}
+
+fn cell(p: &SweepPoint) -> Cell {
+    assert!(p.error.is_none(), "{}: {:?}", p.label, p.error);
+    Cell {
+        wall_ns: p.wall_ns,
+        des_events: p.des_events,
+        audit_clean: p.audit_clean,
+        utilization: p.utilization,
+    }
+}
+
+/// The same numbers from a serial, traced `simulate` of `params`.
+fn serial_cell(log: &TraceLog, params: &SimParams) -> Cell {
+    let x = simulate(log, params).expect("serial simulate");
+    let busy: u64 = x.cpu_busy.iter().map(|d| d.nanos()).sum();
+    let capacity = x.wall_time.nanos() * x.cpu_busy.len() as u64;
+    Cell {
+        wall_ns: x.wall_time.nanos(),
+        des_events: x.des_events,
+        audit_clean: x.audit.is_clean(),
+        utilization: busy as f64 / capacity as f64,
+    }
+}
+
 #[test]
-fn parallel_sweep_is_bit_identical_to_serial_simulate() {
+fn parallel_sweep_points_equal_serial_simulate() {
     for (name, log) in workloads() {
-        let configs = SweepGrid::over_cpus([1, 2, 4, 8])
-            .with_lwps([LwpPolicy::PerThread, LwpPolicy::Fixed(2)])
-            .configs();
-        assert_eq!(configs.len(), 8, "{name}: 8-config grid");
+        let configs = identity_grid();
         let outcome = sweep(&log, &configs, 4).expect("sweep");
-        for (cell, exec) in configs.iter().zip(&outcome.executions) {
-            let exec = exec.as_ref().expect("cell succeeded");
-            let serial = simulate(&log, &cell.params).expect("serial simulate");
-            assert_eq!(
-                exec.wall_time, serial.wall_time,
-                "{name}/{}: wall time differs",
-                cell.label
-            );
-            assert_eq!(
-                exec.trace.transitions, serial.trace.transitions,
-                "{name}/{}: transitions differ",
-                cell.label
-            );
-            assert_eq!(
-                exec.trace.events, serial.trace.events,
-                "{name}/{}: events differ",
-                cell.label
-            );
-            assert_eq!(
-                exec.des_events, serial.des_events,
-                "{name}/{}: DES step count differs",
-                cell.label
-            );
-            assert_eq!(
-                exec.audit.is_clean(),
-                serial.audit.is_clean(),
-                "{name}/{}: audit verdict differs",
-                cell.label
-            );
-            assert!(exec.audit.is_clean(), "{name}/{}: audit violated", cell.label);
+        for (config, point) in configs.iter().zip(&outcome.points) {
+            assert_eq!(cell(point), serial_cell(&log, &config.params), "{name}/{}", config.label);
+            assert!(point.audit_clean, "{name}/{}: audit violated", config.label);
         }
+    }
+}
+
+/// Replay `params` once with a trace and once without.
+fn traced_and_untraced(log: &TraceLog, params: &SimParams) -> (RunResult, RunResult) {
+    let plan = analyze(log).expect("analyze");
+    let app = build_replay_app(&plan, log.header.source_map.clone()).expect("app");
+    let with_trace = |record_trace: bool| {
+        replay_with_engine(&app, &plan, params, None, |app, cfg, opts| {
+            run(app, cfg, RunOptions { record_trace, ..opts })
+        })
+        .expect("replay")
+    };
+    (with_trace(true), with_trace(false))
+}
+
+fn assert_same_run(traced: &RunResult, untraced: &RunResult, what: &str) {
+    assert_eq!(traced.wall_time, untraced.wall_time, "{what}: wall time");
+    assert_eq!(traced.des_events, untraced.des_events, "{what}: DES events");
+    assert_eq!(traced.cpu_busy, untraced.cpu_busy, "{what}: CPU busy");
+    assert_eq!(traced.audit.checks, untraced.audit.checks, "{what}: audit checks");
+    assert_eq!(traced.audit.render(), untraced.audit.render(), "{what}: audit violations");
+    assert!(untraced.trace.transitions.is_empty() && untraced.trace.events.is_empty());
+}
+
+#[test]
+fn a_run_without_a_trace_equals_a_run_with_one() {
+    for (name, log) in workloads() {
+        for config in identity_grid() {
+            let (traced, untraced) = traced_and_untraced(&log, &config.params);
+            assert!(!traced.trace.transitions.is_empty(), "{name}/{}", config.label);
+            assert!(traced.audit.is_clean(), "{name}/{}: {}", config.label, traced.audit.render());
+            assert_same_run(&traced, &untraced, &format!("{name}/{}", config.label));
+        }
+        // A dirty audit renders the same violations, in the same order.
+        let mut params = SimParams::cpus(4);
+        params.faults = FaultInjection { double_charge_cpu: Some(0), ..FaultInjection::none() };
+        let (traced, untraced) = traced_and_untraced(&log, &params);
+        assert!(!traced.audit.is_clean(), "{name}: the planted fault went unseen");
+        assert_same_run(&traced, &untraced, &format!("{name}/4p double-charged"));
     }
 }
 
@@ -109,11 +167,9 @@ fn identical_configs_are_deduplicated_but_still_reported() {
     assert!(outcome.points[0].deduplicated, "1p cell shares the reference run");
     assert!(!outcome.points[1].deduplicated, "first 4p cell is fresh");
     assert!(outcome.points[2].deduplicated, "second 4p cell reuses it");
-    assert_eq!(outcome.points[1].wall_ns, outcome.points[2].wall_ns);
-    assert_eq!(
-        outcome.executions[1].as_ref().unwrap().trace.transitions,
-        outcome.executions[2].as_ref().unwrap().trace.transitions
-    );
+    // A deduplicated cell carries its job's numbers, DES count included.
+    assert_eq!(cell(&outcome.points[1]), cell(&outcome.points[2]));
+    assert_eq!(outcome.points[0].wall_ns, outcome.uni_wall.nanos());
 }
 
 #[test]
@@ -125,14 +181,9 @@ fn sweep_results_are_independent_of_worker_count() {
     for workers in [2, 4, 8] {
         let parallel = sweep(&log, &configs, workers).expect("sweep");
         assert!(parallel.workers >= 1 && parallel.workers <= workers);
-        for (a, b) in serial.executions.iter().zip(&parallel.executions) {
-            let (a, b) = (a.as_ref().expect("serial cell"), b.as_ref().expect("parallel cell"));
-            assert_eq!(a.wall_time, b.wall_time);
-            assert_eq!(a.trace.transitions, b.trace.transitions);
-            assert_eq!(a.trace.events, b.trace.events);
-        }
+        assert_eq!(parallel.uni_wall, serial.uni_wall);
         for (a, b) in serial.points.iter().zip(&parallel.points) {
-            assert_eq!(a.wall_ns, b.wall_ns);
+            assert_eq!(cell(a), cell(b), "{} on {workers} workers", a.label);
             assert!((a.speedup - b.speedup).abs() < 1e-12);
         }
     }
@@ -164,17 +215,16 @@ fn panicking_cell_is_contained_and_siblings_match_serial() {
     // The poisoned cell reports its crash instead of a prediction...
     let poisoned = &outcome.points[1];
     assert!(poisoned.error.as_deref().unwrap_or("").contains("panicked"), "{poisoned:?}");
-    assert_eq!(poisoned.wall_ns, 0);
-    assert!(outcome.executions[1].is_none());
+    assert_eq!((poisoned.wall_ns, poisoned.des_events), (0, 0));
 
-    // ...while its siblings complete bit-identical to serial simulate.
+    // ...while its siblings complete and equal serial simulate.
     for i in [0usize, 2] {
-        let exec = outcome.executions[i].as_ref().expect("sibling cell completed");
-        let serial = simulate(&log, &configs[i].params).expect("serial");
-        assert_eq!(exec.wall_time, serial.wall_time, "{}", configs[i].label);
-        assert_eq!(exec.trace.transitions, serial.trace.transitions);
-        assert_eq!(exec.trace.events, serial.trace.events);
-        assert!(outcome.points[i].error.is_none());
+        assert_eq!(
+            cell(&outcome.points[i]),
+            serial_cell(&log, &configs[i].params),
+            "{}",
+            configs[i].label
+        );
     }
 }
 
@@ -221,12 +271,10 @@ fn fingerprint_never_aliases_cost_factors_and_folds_signed_zero() {
 fn failing_cell_is_error_valued_without_a_panic() {
     let log = record_app(&fork_join_app(2, 5));
     let mut configs = SweepGrid::over_cpus([2, 4]).configs();
-    // Leaking a mutex makes the audit dirty but the run still completes;
-    // an invalid machine (0 CPUs) makes the run itself fail.
+    // An invalid machine (0 CPUs) makes the run itself fail.
     configs[0].params.machine.cpus = 0;
     let outcome = sweep(&log, &configs, 2).expect("sweep survives a failing cell");
     assert!(outcome.points[0].error.is_some());
-    assert!(outcome.points[1].error.is_none());
-    assert!(outcome.executions[0].is_none());
-    assert!(outcome.executions[1].is_some());
+    assert_eq!(outcome.points[0].wall_ns, 0);
+    assert_eq!(cell(&outcome.points[1]), serial_cell(&log, &configs[1].params));
 }

@@ -25,8 +25,8 @@ use std::collections::BTreeMap;
 use std::process::ExitCode;
 use vppb::pipeline;
 use vppb_model::{
-    AuditReport, Diagnostic, Duration, LwpPolicy, SalvageReport, SchedMetrics, SimParams, TraceLog,
-    VppbError,
+    AuditReport, Diagnostic, Duration, LwpPolicy, SalvageReport, SchedMetrics, SimParams, Time,
+    TraceLog, VppbError,
 };
 use vppb_recorder as logio;
 use vppb_sim::{
@@ -349,7 +349,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 Align::Right,
                 Align::Left,
             ]);
-            for (p, exec) in outcome.points.iter().zip(&outcome.executions) {
+            for p in &outcome.points {
                 if let Some(err) = &p.error {
                     table.row([
                         p.label.clone(),
@@ -366,12 +366,10 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 if p.deduplicated {
                     audit += " (dedup)";
                 }
-                let wall =
-                    exec.as_ref().map_or_else(|| "-".to_string(), |e| e.wall_time.to_string());
                 table.row([
                     p.label.clone(),
                     p.cpus.to_string(),
-                    wall,
+                    Time(p.wall_ns).to_string(),
                     format!("{:.2}", p.speedup),
                     format!("{:.0}%", p.utilization * 100.0),
                     p.des_events.to_string(),

@@ -1,5 +1,5 @@
 //! End-to-end tests for `vppb serve`: a real child process, real sockets,
-//! and the blocking client from `vppb_serve::client`.
+//! and the blocking client from `vppb_testkit::httpc`.
 //!
 //! Each test spawns its own server on an OS-assigned port (`--addr
 //! 127.0.0.1:0`) and learns the port by scraping the CLI's `listening on`
