@@ -29,11 +29,6 @@ impl Cell {
     pub fn error(&self) -> f64 {
         prediction_error(self.real.median, self.predicted)
     }
-
-    /// Error of the paper's own numbers (for side-by-side comparison).
-    pub fn paper_error(&self) -> f64 {
-        prediction_error(self.paper_real, self.paper_predicted)
-    }
 }
 
 /// One application row group.

@@ -412,10 +412,6 @@ struct Threads {
     phase: Vec<Phase>,
     binding: Vec<Binding>,
     user_prio: Vec<i32>,
-    /// The priority the program asked for (`thr_setprio` / creation);
-    /// `user_prio` may sit above it while priority inheritance boosts the
-    /// holder of a contended mutex.
-    base_prio: Vec<i32>,
     prio_locked: Vec<bool>,
     lwp: Vec<Option<Lix>>,
     last_cpu: Vec<Option<Cix>>,
@@ -449,7 +445,6 @@ impl Threads {
             phase: Vec::new(),
             binding: Vec::new(),
             user_prio: Vec::new(),
-            base_prio: Vec::new(),
             prio_locked: Vec::new(),
             lwp: Vec::new(),
             last_cpu: Vec::new(),
@@ -491,7 +486,6 @@ impl Threads {
         self.phase.push(Phase::Resume);
         self.binding.push(binding);
         self.user_prio.push(user_prio);
-        self.base_prio.push(user_prio);
         self.prio_locked.push(prio_locked);
         self.lwp.push(None);
         self.last_cpu.push(None);
@@ -523,7 +517,6 @@ impl Threads {
             phase: self.phase.clone(),
             binding: self.binding.clone(),
             user_prio: self.user_prio.clone(),
-            base_prio: self.base_prio.clone(),
             prio_locked: self.prio_locked.clone(),
             lwp: self.lwp.clone(),
             last_cpu: self.last_cpu.clone(),
@@ -1644,27 +1637,6 @@ impl<'a, 'o> Engine<'a, 'o> {
         }
     }
 
-    /// Priority inheritance: lend `prio` to `oix` (the holder of a mutex
-    /// someone at that priority just blocked on), never lowering it.
-    fn inherit_priority(&mut self, oix: Tix, prio: i32) {
-        if prio <= self.threads.user_prio[oix] {
-            return;
-        }
-        let was_queued = self.model.requeue_priority() && self.user_rq_remove(oix);
-        self.threads.user_prio[oix] = prio;
-        if was_queued {
-            self.user_rq_push(oix, false, None);
-        }
-    }
-
-    /// Drop any inherited boost back to the thread's own priority.
-    fn restore_base_priority(&mut self, tix: Tix) {
-        let base = self.threads.base_prio[tix];
-        if self.threads.user_prio[tix] != base {
-            self.threads.user_prio[tix] = base;
-        }
-    }
-
     fn call_semantics(
         &mut self,
         tix: Tix,
@@ -1724,7 +1696,6 @@ impl<'a, 'o> Engine<'a, 'o> {
                         // deques keep FIFO positions across setprio.
                         let was_queued = self.model.requeue_priority() && self.user_rq_remove(xix);
                         self.threads.user_prio[xix] = prio;
-                        self.threads.base_prio[xix] = prio;
                         if was_queued {
                             self.user_rq_push(xix, false, None);
                         }
@@ -1770,11 +1741,6 @@ impl<'a, 'o> Engine<'a, 'o> {
                     CallOutcome::Done
                 } else {
                     self.mutexes[m.0 as usize].queue.push_back(tix as u32);
-                    if self.cfg.priority_inheritance {
-                        let owner =
-                            self.mutexes[m.0 as usize].owner.expect("contended mutex has owner");
-                        self.inherit_priority(owner as Tix, self.threads.user_prio[tix]);
-                    }
                     CallOutcome::Blocked(BlockReason::Sync(SyncObjId::mutex(m.0)))
                 }
             }
@@ -1789,11 +1755,6 @@ impl<'a, 'o> Engine<'a, 'o> {
                     // "succeeds" but the lock is never released, so the
                     // auditor must flag lock-held-at-exit.
                     return Ok(CallOutcome::Done);
-                }
-                if self.cfg.priority_inheritance {
-                    // Whatever boost this mutex's waiters lent the owner
-                    // ends at release.
-                    self.restore_base_priority(tix);
                 }
                 match self.mutexes[m.0 as usize].unlock(tix as u32) {
                     Err(owner) => {
@@ -1850,7 +1811,7 @@ impl<'a, 'o> Engine<'a, 'o> {
             }
 
             RwRdLock(r) => {
-                if self.rws[r.0 as usize].try_read(tix as u32, self.cfg.rw_writer_preference) {
+                if self.rws[r.0 as usize].try_read(tix as u32) {
                     CallOutcome::Done
                 } else {
                     self.rws[r.0 as usize].queue.push_back(RwWaiter::Reader(tix as u32));
@@ -1866,8 +1827,7 @@ impl<'a, 'o> Engine<'a, 'o> {
                 }
             }
             RwTryRdLock(r) => {
-                let got =
-                    self.rws[r.0 as usize].try_read(tix as u32, self.cfg.rw_writer_preference);
+                let got = self.rws[r.0 as usize].try_read(tix as u32);
                 self.threads.outcome[tix] = Outcome::Acquired(got);
                 CallOutcome::Done
             }

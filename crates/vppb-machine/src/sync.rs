@@ -128,7 +128,7 @@ pub enum RwWaiter {
     Writer(Th),
 }
 
-/// A Solaris `rwlock_t` with (configurable) writer preference.
+/// A Solaris `rwlock_t`: queued writers are preferred over new readers.
 #[derive(Debug, Clone, Default)]
 pub struct RwState {
     /// Threads currently holding shared access.
@@ -144,11 +144,10 @@ impl RwState {
         self.queue.iter().any(|w| matches!(w, RwWaiter::Writer(_)))
     }
 
-    /// Try a read acquisition. With `prefer_writers` (the Solaris
-    /// behavior), a queued writer blocks new readers; without it, readers
-    /// barge past queued writers whenever no writer *holds* the lock.
-    pub fn try_read(&mut self, t: Th, prefer_writers: bool) -> bool {
-        if self.writer.is_none() && !(prefer_writers && self.writers_queued()) {
+    /// Try a read acquisition. A queued writer blocks new readers, as on
+    /// Solaris.
+    pub fn try_read(&mut self, t: Th) -> bool {
+        if self.writer.is_none() && !self.writers_queued() {
             self.readers.push(t);
             true
         } else {
@@ -311,14 +310,12 @@ mod tests {
     #[test]
     fn rwlock_readers_share_writers_exclude() {
         let mut rw = RwState::default();
-        assert!(rw.try_read(T1, true));
-        assert!(rw.try_read(T4, true));
+        assert!(rw.try_read(T1));
+        assert!(rw.try_read(T4));
         assert!(!rw.try_write(T5));
         rw.queue.push_back(RwWaiter::Writer(T5));
         // Writer queued -> new readers must wait (writer preference).
-        assert!(!rw.try_read(6, true));
-        // ... unless the preference knob is off (reader barging).
-        assert!(rw.clone().try_read(6, false));
+        assert!(!rw.try_read(6));
         assert_eq!(rw.unlock(T1).unwrap(), Vec::<Th>::new());
         assert_eq!(rw.unlock(T4).unwrap(), vec![T5]);
         assert_eq!(rw.writer, Some(T5));
@@ -340,7 +337,7 @@ mod tests {
     #[test]
     fn rwlock_unlock_by_stranger_fails() {
         let mut rw = RwState::default();
-        assert!(rw.try_read(T1, true));
+        assert!(rw.try_read(T1));
         assert!(rw.unlock(T5).is_none());
     }
 

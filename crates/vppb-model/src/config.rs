@@ -83,6 +83,33 @@ pub enum LwpPolicy {
     FollowProgram,
 }
 
+impl fmt::Display for LwpPolicy {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LwpPolicy::Fixed(n) => write!(f, "{n}"),
+            LwpPolicy::PerThread => f.write_str("per-thread"),
+            LwpPolicy::FollowProgram => f.write_str("follow"),
+        }
+    }
+}
+
+/// Parses the spelling [`LwpPolicy`] displays as: `per-thread`, `follow`
+/// or a pool size.
+impl FromStr for LwpPolicy {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<LwpPolicy, String> {
+        match s {
+            "per-thread" => Ok(LwpPolicy::PerThread),
+            "follow" => Ok(LwpPolicy::FollowProgram),
+            n => n
+                .parse()
+                .map(LwpPolicy::Fixed)
+                .map_err(|_| format!("unknown LWP policy {n:?} (want per-thread|follow|N)")),
+        }
+    }
+}
+
 impl LwpPolicy {
     /// Unbound-pool size for a program with `threads` live threads and a
     /// current `setconcurrency` request of `requested`.
@@ -203,21 +230,6 @@ pub struct MachineConfig {
     /// absent in older serialized configs, hence the serde default.
     #[serde(default)]
     pub model: ModelKind,
-    /// Read/write locks prefer queued writers over new readers (the
-    /// Solaris `rwlock_t` behavior). Turning this off grants read locks
-    /// whenever no writer *holds* the lock, even with writers queued.
-    #[serde(default = "default_true")]
-    pub rw_writer_preference: bool,
-    /// Priority inheritance on mutexes: while a higher-priority thread
-    /// blocks on `mutex_lock`, the owner's user priority is boosted to the
-    /// blocker's, and restored to its base at unlock. Off by default (the
-    /// Solaris 2.5 TS class did not apply PI to user threads).
-    #[serde(default)]
-    pub priority_inheritance: bool,
-}
-
-fn default_true() -> bool {
-    true
 }
 
 impl MachineConfig {
@@ -272,8 +284,6 @@ impl Default for MachineConfig {
             bound_costs: BoundCosts::default(),
             migration_penalty: Duration::ZERO,
             model: ModelKind::SolarisTs,
-            rw_writer_preference: true,
-            priority_inheritance: false,
         }
     }
 }
@@ -376,12 +386,6 @@ impl SimParams {
         self.manips.entry(thread).or_default().priority = Some(prio);
         self
     }
-
-    /// Builder-style: arm fault injection for this run (tests only).
-    pub fn with_faults(mut self, faults: FaultInjection) -> SimParams {
-        self.faults = faults;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -430,6 +434,16 @@ mod tests {
     }
 
     #[test]
+    fn lwp_policy_parses_what_it_displays() {
+        for p in [LwpPolicy::PerThread, LwpPolicy::FollowProgram, LwpPolicy::Fixed(3)] {
+            assert_eq!(p.to_string().parse::<LwpPolicy>().unwrap(), p);
+        }
+        assert_eq!(LwpPolicy::Fixed(3).to_string(), "3");
+        assert!("all".parse::<LwpPolicy>().is_err());
+        assert!("-1".parse::<LwpPolicy>().is_err());
+    }
+
+    #[test]
     fn model_kind_parses_and_displays() {
         for m in ModelKind::ALL {
             assert_eq!(m.name().parse::<ModelKind>().unwrap(), m);
@@ -439,21 +453,23 @@ mod tests {
     }
 
     #[test]
-    fn machine_config_without_model_fields_still_deserializes() {
+    fn older_machine_configs_still_deserialize() {
         // A config serialized before the scheduler-model axis existed has
-        // no `model` / `rw_writer_preference` / `priority_inheritance`
-        // keys; they must fall back to the Solaris defaults.
+        // no `model` key, and one serialized while the rwlock-preference
+        // and priority-inheritance knobs existed carries their keys; both
+        // must load as the Solaris defaults.
         use serde::Serialize as _;
-        let mut old = MachineConfig::default().to_value();
-        if let serde::Value::Object(fields) = &mut old {
-            fields.retain(|(k, _)| {
-                k != "model" && k != "rw_writer_preference" && k != "priority_inheritance"
-            });
+        let serde::Value::Object(fields) = MachineConfig::default().to_value() else {
+            panic!("a machine config serializes as an object");
+        };
+        let without_model: Vec<_> = fields.iter().filter(|(k, _)| k != "model").cloned().collect();
+        let mut with_knobs = fields.clone();
+        with_knobs.push(("rw_writer_preference".into(), serde::Value::Bool(true)));
+        with_knobs.push(("priority_inheritance".into(), serde::Value::Bool(false)));
+        for old in [without_model, with_knobs] {
+            let text = serde_json::to_string(&serde::Value::Object(old)).expect("render");
+            let back: MachineConfig = serde_json::from_str(&text).expect("old config must load");
+            assert_eq!(back, MachineConfig::default());
         }
-        let text = serde_json::to_string(&old).expect("render");
-        let back: MachineConfig = serde_json::from_str(&text).expect("old config must load");
-        assert_eq!(back.model, ModelKind::SolarisTs);
-        assert!(back.rw_writer_preference);
-        assert!(!back.priority_inheritance);
     }
 }

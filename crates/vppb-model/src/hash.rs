@@ -273,8 +273,11 @@ impl StableHash for MachineConfig {
         self.bound_costs.stable_hash(h);
         self.migration_penalty.stable_hash(h);
         self.model.stable_hash(h);
-        h.write_bool(self.rw_writer_preference);
-        h.write_bool(self.priority_inheritance);
+        // The fixed values of two retired knobs (rwlock writer preference
+        // on, priority inheritance off), so fingerprints, and with them
+        // memo keys spilled by older stores, stay what they were.
+        h.write_bool(true);
+        h.write_bool(false);
     }
 }
 
@@ -441,12 +444,6 @@ mod tests {
         v.machine.model = ModelKind::AsyncPool;
         variants.push(v);
         let mut v = base.clone();
-        v.machine.rw_writer_preference = false;
-        variants.push(v);
-        let mut v = base.clone();
-        v.machine.priority_inheritance = true;
-        variants.push(v);
-        let mut v = base.clone();
         v.faults.leak_mutex = Some(0);
         variants.push(v);
         let mut v = base.clone();
@@ -466,6 +463,28 @@ mod tests {
         fps.sort_unstable();
         fps.dedup();
         assert_eq!(fps.len(), variants.len() + 1, "two variants alias each other");
+    }
+
+    #[test]
+    fn fingerprints_are_pinned() {
+        // Memo keys spilled to a `--store` embed these, so a change here
+        // silently turns every stored prediction into a miss.
+        let mut async_pool = SimParams::cpus(4);
+        async_pool.machine.model = ModelKind::AsyncPool;
+        async_pool.machine.lwps = LwpPolicy::Fixed(3);
+        let mut mixed = SimParams::cpus(2).override_priority(ThreadId(3), 50);
+        mixed.machine.lwps = LwpPolicy::FollowProgram;
+        mixed.machine.comm_delay = Duration::from_micros(7);
+        mixed.faults.leak_mutex = Some(1);
+        let pinned = [
+            (SimParams::cpus(8), 0xad07_3ca7_fc8c_5ab0),
+            (SimParams::cpus(1), 0x99e5_c78f_7a86_94f3),
+            (async_pool, 0x29bb_f287_7f67_34ff),
+            (mixed, 0x5824_6922_53fb_4512),
+        ];
+        for (params, fp) in pinned {
+            assert_eq!(params.fingerprint(), fp, "{params:?}");
+        }
     }
 
     #[test]

@@ -174,14 +174,6 @@ impl TraceLog {
         }
         Ok(())
     }
-
-    /// Approximate size of the log when written as the binary (bytes)
-    /// format; used by the LOG experiment.
-    pub fn encoded_size_estimate(&self) -> usize {
-        // Fixed-width binary record: seq(8) time(8) thread(4) phase(1)
-        // kind tag+payload(~12) result(~6) caller(8).
-        self.records.len() * 47
-    }
 }
 
 #[cfg(test)]

@@ -131,20 +131,6 @@ impl std::fmt::Display for Divergence {
     }
 }
 
-/// Result of checking one seed over the whole grid.
-#[derive(Debug, Clone)]
-pub enum FuzzOutcome {
-    /// Engine and oracle agreed bit-for-bit at every grid point.
-    Clean {
-        /// Grid points checked.
-        configs: usize,
-        /// Replay-plan size, for reporting.
-        plan_ops: usize,
-    },
-    /// They disagreed (or one of them errored).
-    Diverged(Divergence),
-}
-
 /// Aggregate over a seed corpus.
 #[derive(Debug, Clone, Default)]
 pub struct FuzzReport {
@@ -278,24 +264,10 @@ pub fn check_spec(
     Ok(None)
 }
 
-/// Check one seed: generate, record, and compare over the grid.
-pub fn fuzz_one(
-    seed: u64,
-    gen: &GenParams,
-    grid: &ConfigGrid,
-    tweaks: OracleTweaks,
-) -> Result<FuzzOutcome, VppbError> {
-    let spec = ProgSpec::generate(seed, gen);
-    let plan_ops_hint = spec.total_segs();
-    Ok(match check_spec(&spec, grid, tweaks)? {
-        Some(d) => FuzzOutcome::Diverged(d),
-        None => FuzzOutcome::Clean { configs: grid.len(), plan_ops: plan_ops_hint },
-    })
-}
-
-/// Run a whole seed corpus. Pipeline errors are folded into the report as
-/// divergences (detail-tagged), so CI sees them without aborting the
-/// sweep.
+/// Run a whole seed corpus: generate each seed's program, record it, and
+/// compare engine and oracle over the grid. Pipeline errors are folded
+/// into the report as divergences (detail-tagged), so CI sees them
+/// without aborting the sweep.
 pub fn fuzz_corpus(
     seeds: impl IntoIterator<Item = u64>,
     gen: &GenParams,
@@ -305,9 +277,9 @@ pub fn fuzz_corpus(
     let mut report = FuzzReport::default();
     for seed in seeds {
         report.seeds += 1;
-        match fuzz_one(seed, gen, grid, tweaks) {
-            Ok(FuzzOutcome::Clean { configs, .. }) => report.configs_checked += configs,
-            Ok(FuzzOutcome::Diverged(d)) => {
+        match check_spec(&ProgSpec::generate(seed, gen), grid, tweaks) {
+            Ok(None) => report.configs_checked += grid.len(),
+            Ok(Some(d)) => {
                 report.configs_checked += 1;
                 report.divergences.push(d);
             }

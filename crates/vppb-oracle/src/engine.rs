@@ -134,9 +134,6 @@ struct ThreadRt {
     phase: Phase,
     binding: Binding,
     user_prio: i32,
-    /// The thread's own priority; `user_prio` may sit above it while a
-    /// priority-inheritance boost is in effect.
-    base_prio: i32,
     prio_locked: bool,
     lwp: Option<Lix>,
     last_cpu: Option<Cix>,
@@ -985,7 +982,6 @@ impl<'a, 'o> Oracle<'a, 'o> {
             phase: Phase::Resume,
             binding,
             user_prio: manip.priority.unwrap_or(0),
-            base_prio: manip.priority.unwrap_or(0),
             prio_locked: manip.priority.is_some(),
             lwp: None,
             last_cpu: None,
@@ -1255,7 +1251,6 @@ impl<'a, 'o> Oracle<'a, 'o> {
                         // queues keep FIFO positions across setprio.
                         let was_queued = self.model.requeue_priority() && self.user_rq_remove(xix);
                         self.threads[xix].user_prio = prio;
-                        self.threads[xix].base_prio = prio;
                         if was_queued {
                             self.user_rq_push(xix, false, None);
                         }
@@ -1301,12 +1296,6 @@ impl<'a, 'o> Oracle<'a, 'o> {
                     CallOutcome::Done
                 } else {
                     self.mutexes[m.0 as usize].queue.push(id);
-                    if self.cfg.priority_inheritance {
-                        let owner =
-                            self.mutexes[m.0 as usize].owner.expect("contended mutex has owner");
-                        let oix = self.by_id[&owner];
-                        self.inherit_priority(oix, self.threads[tix].user_prio);
-                    }
                     CallOutcome::Blocked(BlockReason::Sync(SyncObjId::mutex(m.0)))
                 }
             }
@@ -1319,11 +1308,6 @@ impl<'a, 'o> Oracle<'a, 'o> {
                 if self.opts.faults.leak_mutex == Some(m.0) {
                     // Deliberate corruption (FaultInjection), mirrored.
                     return Ok(CallOutcome::Done);
-                }
-                if self.cfg.priority_inheritance {
-                    // Whatever boost this mutex's waiters lent the owner
-                    // ends at release.
-                    self.restore_base_priority(tix);
                 }
                 let next =
                     self.mutexes[m.0 as usize].unlock(id).map_err(VppbError::ProgramError)?;
@@ -1377,7 +1361,7 @@ impl<'a, 'o> Oracle<'a, 'o> {
             }
 
             RwRdLock(r) => {
-                if self.rws[r.0 as usize].try_read(id, self.cfg.rw_writer_preference) {
+                if self.rws[r.0 as usize].try_read(id) {
                     CallOutcome::Done
                 } else {
                     self.rws[r.0 as usize].queue.push(NRwWaiter::Reader(id));
@@ -1393,7 +1377,7 @@ impl<'a, 'o> Oracle<'a, 'o> {
                 }
             }
             RwTryRdLock(r) => {
-                let got = self.rws[r.0 as usize].try_read(id, self.cfg.rw_writer_preference);
+                let got = self.rws[r.0 as usize].try_read(id);
                 self.threads[tix].outcome = Outcome::Acquired(got);
                 CallOutcome::Done
             }
@@ -1470,27 +1454,6 @@ impl<'a, 'o> Oracle<'a, 'o> {
                 }
             }
         })
-    }
-
-    /// Priority inheritance: lend `prio` to `oix` (the holder of a mutex
-    /// someone at that priority just blocked on), never lowering it.
-    fn inherit_priority(&mut self, oix: Tix, prio: i32) {
-        if prio <= self.threads[oix].user_prio {
-            return;
-        }
-        let was_queued = self.model.requeue_priority() && self.user_rq_remove(oix);
-        self.threads[oix].user_prio = prio;
-        if was_queued {
-            self.user_rq_push(oix, false, None);
-        }
-    }
-
-    /// Drop any inherited boost back to the thread's own priority.
-    fn restore_base_priority(&mut self, tix: Tix) {
-        let base = self.threads[tix].base_prio;
-        if self.threads[tix].user_prio != base {
-            self.threads[tix].user_prio = base;
-        }
     }
 
     /// Wake a thread whose blocking call just succeeded (mutex handoff,

@@ -207,12 +207,6 @@ impl ProgSpec {
         }
     }
 
-    /// Total segment count — the shrinker's size metric is derived from
-    /// the *plan*, but this is a useful proxy for logging.
-    pub fn total_segs(&self) -> usize {
-        self.workers.iter().map(|w| w.segs.len()).sum()
-    }
-
     /// Whether any worker runs a [`Seg::TryLockFail`] (decides whether
     /// `main` holds the fail-target mutex around the workers' lifetime).
     fn has_fail_trylock(&self) -> bool {

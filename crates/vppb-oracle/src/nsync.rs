@@ -11,9 +11,7 @@
 //!   broadcast drains all, a timed-out waiter removes itself.
 //! * rwlock: writer preference — a queued writer blocks *new* readers;
 //!   on release the first waiter decides the grant mode (a writer alone,
-//!   or the whole leading run of readers together). With the
-//!   [`MachineConfig::rw_writer_preference`] knob off, new readers barge
-//!   past queued writers whenever no writer holds the lock.
+//!   or the whole leading run of readers together).
 //! * barrier: every `parties`-th arrival trips it, waking all queued
 //!   waiters; the ledger `generation * parties + queued == arrivals` is
 //!   the audit's conservation law.
@@ -21,8 +19,6 @@
 //!   it and everyone after completion passes straight through.
 //!
 //! All queues are plain `Vec`s scanned linearly.
-//!
-//! [`MachineConfig::rw_writer_preference`]: vppb_model::MachineConfig
 
 use vppb_model::ThreadId;
 
@@ -151,10 +147,9 @@ impl NRw {
         self.queue.iter().any(|w| matches!(w, NRwWaiter::Writer(_)))
     }
 
-    /// Shared acquisition. With `prefer_writers` a queued writer blocks
-    /// new readers; without it readers barge whenever no writer holds.
-    pub fn try_read(&mut self, t: ThreadId, prefer_writers: bool) -> bool {
-        if self.writer.is_none() && !(prefer_writers && self.writers_queued()) {
+    /// Shared acquisition; a queued writer blocks new readers.
+    pub fn try_read(&mut self, t: ThreadId) -> bool {
+        if self.writer.is_none() && !self.writers_queued() {
             self.readers.push(t);
             true
         } else {
@@ -290,8 +285,7 @@ mod tests {
         rw.queue.push(NRwWaiter::Reader(T5));
         rw.queue.push(NRwWaiter::Writer(ThreadId(6)));
         assert_eq!(rw.unlock(T1).unwrap(), vec![T4, T5]);
-        assert!(!rw.try_read(ThreadId(7), true), "queued writer blocks new readers");
-        assert!(rw.try_read(ThreadId(7), false), "preference off: readers barge");
+        assert!(!rw.try_read(ThreadId(7)), "queued writer blocks new readers");
     }
 
     #[test]

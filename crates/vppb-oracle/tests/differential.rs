@@ -64,8 +64,8 @@ fn real_workloads_agree_directly() {
 
 #[test]
 fn corpus_agrees_bit_for_bit() {
-    // A fixed corpus across the full grid. The CI `fuzz_smoke` binary and
-    // `vppb fuzz --seeds 500` run much larger corpora; this in-tree slice
+    // A fixed corpus across the full grid. CI's `vppb fuzz` runs and
+    // `vppb fuzz --seeds 500` cover much larger corpora; this in-tree slice
     // keeps `cargo test` fast while still covering every generator
     // feature (the seeds span workers/bindings/barriers/every seg kind).
     let report =

@@ -42,14 +42,6 @@ impl Default for RecordOptions {
     }
 }
 
-impl RecordOptions {
-    /// Cap the monitored run at this much virtual time (livelock guard).
-    pub fn with_time_limit(mut self, t: Time) -> RecordOptions {
-        self.limits.max_time = t;
-        self
-    }
-}
-
 /// A completed recording.
 #[derive(Debug, Clone)]
 pub struct Recording {

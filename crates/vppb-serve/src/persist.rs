@@ -81,7 +81,6 @@ pub struct Durability {
 /// report has been handed to the caller.
 #[derive(Debug, Clone, Copy, Default)]
 struct RecoveryCounts {
-    objects: usize,
     adopted: usize,
     quarantined: usize,
     missing: usize,
@@ -142,7 +141,6 @@ impl Durability {
             memo.rewrite(&healthy_records)?;
         }
         let recovery = RecoveryCounts {
-            objects: store_report.objects,
             adopted: store_report.adopted,
             quarantined: store_report.quarantined,
             missing: store_report.missing,
@@ -230,11 +228,6 @@ impl Durability {
             memos_spilled: self.memos_spilled.load(Ordering::Relaxed),
             chunks_journaled: self.chunks_journaled.load(Ordering::Relaxed),
         }
-    }
-
-    /// Objects recovered at startup (used when reporting `logs_stored`).
-    pub fn recovered_objects(&self) -> usize {
-        self.recovery.objects
     }
 
     fn stream_path(&self, sid: ContentId) -> PathBuf {

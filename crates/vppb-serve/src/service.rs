@@ -834,14 +834,10 @@ impl PredictionService {
         if let Some(specs) = &req.lwps {
             let mut lwps = Vec::new();
             for s in specs {
-                lwps.push(match s.as_str() {
-                    "per-thread" => LwpPolicy::PerThread,
-                    "follow" => LwpPolicy::FollowProgram,
-                    n => LwpPolicy::Fixed(
-                        n.parse()
-                            .map_err(|_| ServeError::BadRequest(format!("bad lwp policy `{n}`")))?,
-                    ),
-                });
+                lwps.push(
+                    s.parse::<LwpPolicy>()
+                        .map_err(|_| ServeError::BadRequest(format!("bad lwp policy `{s}`")))?,
+                );
             }
             grid = grid.with_lwps(lwps);
         }

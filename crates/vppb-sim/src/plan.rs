@@ -93,18 +93,6 @@ impl ReplayPlan {
         self.threads.iter().map(|t| t.ops.len()).sum()
     }
 
-    /// Sum of all `Work` gaps — the total compute demand of the program.
-    pub fn total_work(&self) -> Duration {
-        self.threads
-            .iter()
-            .flat_map(|t| &t.ops)
-            .filter_map(|op| match op {
-                Action::Work(d) => Some(*d),
-                _ => None,
-            })
-            .sum()
-    }
-
     /// Find a thread plan by id.
     pub fn thread(&self, id: ThreadId) -> Option<&ThreadPlan> {
         self.threads.iter().find(|t| t.id == id)
@@ -191,9 +179,4 @@ impl ReplayPlan {
         let barriers = self.barrier_parties.len() * 4 + self.once_init.len() * 8;
         (256 + ops + create + cvs + sems + barriers) as u64
     }
-}
-
-/// Convenience for tests: does an op sequence contain a given call?
-pub fn contains_call(ops: &[ReplayOp], pred: impl Fn(&LibCall) -> bool) -> bool {
-    ops.iter().any(|op| matches!(op, Action::Call(c, _) if pred(c)))
 }

@@ -34,9 +34,7 @@
 
 use crate::feed::{FeedStep, IncrementalFeed};
 use crate::plan::ReplayPlan;
-use crate::sim::{
-    build_replay_app, replay_with_engine, tape_app, to_execution, SimulatedExecution,
-};
+use crate::sim::{build_replay_app, replay_with_engine, tape_app};
 use crate::sorter::analyze_with_stability;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -197,17 +195,6 @@ impl StreamSession {
             return Ok(result);
         }
         cold_run_state(self.state.as_ref().unwrap(), params)
-    }
-
-    /// [`Self::predict`] packaged as a [`SimulatedExecution`] (what the
-    /// service and CLI render).
-    pub fn predict_execution(
-        &mut self,
-        params: &SimParams,
-    ) -> Result<SimulatedExecution, VppbError> {
-        let result = self.predict(params)?;
-        let state = self.state.as_ref().expect("predict succeeded");
-        Ok(to_execution(&state.plan, params, result))
     }
 
     /// Advance the chain for `key` over the current plan and produce the

@@ -5,8 +5,7 @@
 //! analyzes the log once, builds the replay [`App`] once, shares both
 //! immutably behind [`Arc`] across `std::thread::scope` workers, and
 //! replays every configuration of a grid (CPUs × LWP policies ×
-//! communication delays × scheduling models × per-thread manipulations)
-//! concurrently.
+//! communication delays × scheduling models) concurrently.
 //! Identical configurations are deduplicated by fingerprint and simulated
 //! once; every grid cell still gets its row in the resulting speed-up
 //! surface.
@@ -23,13 +22,11 @@
 use crate::plan::ReplayPlan;
 use crate::sim::{build_replay_app, replay_with_engine};
 use crate::sorter::analyze;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use vppb_machine::{run, RunOptions, RunResult};
-use vppb_model::{
-    Duration, LwpPolicy, ModelKind, SimParams, ThreadId, ThreadManip, Time, TraceLog, VppbError,
-};
+use vppb_model::{Duration, LwpPolicy, ModelKind, SimParams, Time, TraceLog, VppbError};
 
 /// One labeled cell of a sweep grid.
 #[derive(Debug, Clone)]
@@ -52,8 +49,6 @@ pub struct SweepGrid {
     pub comm_delays: Vec<Option<Duration>>,
     /// User-level scheduling models (default: the Solaris TS queues).
     pub models: Vec<ModelKind>,
-    /// Labeled per-thread manipulation sets (bindings / priority pins).
-    pub manip_sets: Vec<(String, BTreeMap<ThreadId, ThreadManip>)>,
 }
 
 impl SweepGrid {
@@ -64,7 +59,6 @@ impl SweepGrid {
             lwps: vec![LwpPolicy::PerThread],
             comm_delays: vec![None],
             models: vec![ModelKind::SolarisTs],
-            manip_sets: vec![(String::new(), BTreeMap::new())],
         }
     }
 
@@ -86,53 +80,32 @@ impl SweepGrid {
         self
     }
 
-    /// Builder-style: add a labeled manipulation set as a grid axis value
-    /// (the implicit unmanipulated baseline stays in the grid).
-    pub fn with_manip_set(
-        mut self,
-        label: impl Into<String>,
-        manips: BTreeMap<ThreadId, ThreadManip>,
-    ) -> SweepGrid {
-        self.manip_sets.push((label.into(), manips));
-        self
-    }
-
     /// Expand the grid into labeled configurations, CPUs varying fastest.
     pub fn configs(&self) -> Vec<SweepConfig> {
         let mut out = Vec::new();
-        for (mlabel, manips) in &self.manip_sets {
-            for &model in &self.models {
-                for delay in &self.comm_delays {
-                    for lwps in &self.lwps {
-                        for &cpus in &self.cpus {
-                            let mut params = SimParams::cpus(cpus);
-                            params.machine.lwps = *lwps;
-                            params.machine.model = model;
-                            if let Some(d) = delay {
-                                params.machine.comm_delay = *d;
-                            }
-                            params.manips = manips.clone();
-                            let mut label = format!("{cpus}p");
-                            if self.lwps.len() > 1 {
-                                label += &match lwps {
-                                    LwpPolicy::Fixed(n) => format!(" lwps={n}"),
-                                    LwpPolicy::PerThread => " lwps=per-thread".to_string(),
-                                    LwpPolicy::FollowProgram => " lwps=follow".to_string(),
-                                };
-                            }
-                            if self.comm_delays.len() > 1 {
-                                if let Some(d) = delay {
-                                    label += &format!(" comm={d}");
-                                }
-                            }
-                            if self.models.len() > 1 {
-                                label += &format!(" model={}", model.name());
-                            }
-                            if !mlabel.is_empty() {
-                                label += &format!(" {mlabel}");
-                            }
-                            out.push(SweepConfig { label, params });
+        for &model in &self.models {
+            for delay in &self.comm_delays {
+                for &lwps in &self.lwps {
+                    for &cpus in &self.cpus {
+                        let mut params = SimParams::cpus(cpus);
+                        params.machine.lwps = lwps;
+                        params.machine.model = model;
+                        if let Some(d) = delay {
+                            params.machine.comm_delay = *d;
                         }
+                        let mut label = format!("{cpus}p");
+                        if self.lwps.len() > 1 {
+                            label += &format!(" lwps={lwps}");
+                        }
+                        if self.comm_delays.len() > 1 {
+                            if let Some(d) = delay {
+                                label += &format!(" comm={d}");
+                            }
+                        }
+                        if self.models.len() > 1 {
+                            label += &format!(" model={}", model.name());
+                        }
+                        out.push(SweepConfig { label, params });
                     }
                 }
             }

@@ -10,7 +10,7 @@
 //! vppb check <LOG> [--strict|--lenient] [--json]
 //! vppb report <LOG>
 //! vppb serve [--addr A] [--workers N] [--cache-bytes B] [--queue-depth Q] [--request-timeout-ms T] [--max-body-bytes B] [--store DIR] [--tenant-backlog Q] [--tenant-weights a=4,b=1]
-//! vppb fuzz [--seeds N] [--seed-start S] [--cpus N,N,..] [--model solaris,async] [--chunked] [--shrink] [--self-test] [--self-test-steal] [--repro-dir DIR] [--json]
+//! vppb fuzz [--seeds N] [--seed-start S] [--cpus N,N,..] [--model solaris,async] [--chunked] [--shrink] [--shrink-budget N] [--self-test] [--repro-dir DIR] [--json]
 //! vppb watch <LOG> [--cpus N] [--chunks N] [--interval-ms D] [--idle-timeout-ms T] [--once] [--metrics-json FILE]
 //! ```
 //!
@@ -28,6 +28,7 @@ use vppb_model::{
     AuditReport, Diagnostic, Duration, LwpPolicy, SalvageReport, SchedMetrics, SimParams, Time,
     TraceLog, VppbError,
 };
+use vppb_oracle::OracleTweaks;
 use vppb_recorder as logio;
 use vppb_sim::{
     analyze, simulate_plan, simulate_plan_metrics, DivergenceReport, SweepGrid, SweepPoint,
@@ -150,7 +151,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     let Some(cmd) = args.first() else {
         return Err(usage());
     };
-    let (pos, flags) = parse_flags(&args[1..]);
+    let (pos, flags) = parse_flags(cmd, &args[1..])?;
     match cmd.as_str() {
         "workloads" => {
             println!("built-in workloads (record with `vppb record <name>`):");
@@ -295,15 +296,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 .map_err(|_| "bad --cpus list")?;
             let mut grid = SweepGrid::over_cpus(cpus);
             if let Some(l) = flags.get("lwps") {
-                let mut lwps = Vec::new();
-                for item in l.split(',') {
-                    lwps.push(match item {
-                        "per-thread" => LwpPolicy::PerThread,
-                        "follow" => LwpPolicy::FollowProgram,
-                        n => LwpPolicy::Fixed(n.parse().map_err(|_| "bad --lwps list")?),
-                    });
-                }
-                grid = grid.with_lwps(lwps);
+                grid = grid.with_lwps(parse_list::<LwpPolicy>(l).map_err(|_| "bad --lwps list")?);
             }
             if let Some(d) = flags.get("comm-delay-us") {
                 let delays: Vec<Duration> = parse_list::<u64>(d)
@@ -627,106 +620,98 @@ fn check_log(path: &str, flags: &BTreeMap<String, String>) -> Result<ExitCode, S
     }
 }
 
+/// A scheduling bug `vppb fuzz --self-test` plants in the oracle. The
+/// fuzzer must catch it, and the first divergence must shrink to at most
+/// `max_shrunk_ops` replay-plan ops.
+struct PlantedBug {
+    name: &'static str,
+    /// Suffix of the bug's repro files, so the two passes do not
+    /// overwrite each other's reproducer for one seed.
+    slug: &'static str,
+    tweaks: OracleTweaks,
+    max_shrunk_ops: usize,
+}
+
+/// One planted bug per scheduler world. The steal-order bound is looser:
+/// exposing steal *order* needs a 3-worker pool kept busy plus two blocked
+/// and woken threads, so its minimal program carries more ops than a
+/// tie-break repro.
+const PLANTED_BUGS: [PlantedBug; 2] = [
+    PlantedBug {
+        name: "tie-break inversion",
+        slug: "-tie-break",
+        tweaks: OracleTweaks { invert_dispatch_tiebreak: true, reverse_steal_order: false },
+        max_shrunk_ops: 20,
+    },
+    PlantedBug {
+        name: "async steal-order reversal",
+        slug: "-steal-order",
+        tweaks: OracleTweaks { invert_dispatch_tiebreak: false, reverse_steal_order: true },
+        max_shrunk_ops: 30,
+    },
+];
+
+/// Seeds per `fuzz_corpus` call; a progress line follows each block.
+const FUZZ_BLOCK: u64 = 100;
+
 /// `vppb fuzz`: differential fuzzing of the scheduler. Seeded random
 /// programs are recorded on the monitored machine, then each replay plan
 /// runs through both the optimized engine and the naive oracle across a
 /// scheduler-model × CPU-count × LWP-policy grid (`--model` restricts
 /// the model axis; default both `solaris` and `async`); the two must
 /// agree on the full stream of scheduling decisions, bit for bit.
-/// `--shrink` delta-debugs any divergence to a minimal reproducer and
-/// writes it out as a replayable text log; `--self-test` inverts a
-/// dispatch tie-break inside the oracle, `--self-test-steal` reverses
-/// the async pool's steal order, and either mutation *must* be caught,
-/// proving the fuzzer has teeth. Exit codes: 0 all comparisons agreed
-/// (or, under a self-test, the mutation was caught), 2 otherwise.
+/// `--chunked` also streams each recorded log in chunks and holds every
+/// rolling prediction to a cold run of the same prefix. `--shrink`
+/// delta-debugs every divergence to a minimal reproducer and writes it
+/// out as a replayable text log. `--self-test` proves the fuzzer has
+/// teeth: it plants an inverted dispatch tie-break in the oracle over the
+/// whole grid and a reversed steal order over the grid's async points,
+/// and each must be caught with a first divergence that shrinks within
+/// its bound. Exit codes: 0 all comparisons agreed (or, under
+/// `--self-test`, both bugs were caught and shrunk within bounds), 2
+/// otherwise.
 fn fuzz(flags: &BTreeMap<String, String>) -> Result<ExitCode, String> {
-    use vppb_oracle::{
-        ConfigGrid, Divergence, FuzzOutcome, GenParams, LwpMode, OracleTweaks, ProgSpec,
-    };
+    use vppb_model::ModelKind;
+    use vppb_oracle::{ConfigGrid, GenParams, LwpMode, ProgSpec};
 
     let seeds: u64 = flag(flags, "seeds", 100)?;
     let start: u64 = flag(flags, "seed-start", 0)?;
     let cpus = parse_list::<u32>(flags.get("cpus").map_or("1,2,4,8", String::as_str))
         .map_err(|_| "bad --cpus list")?;
-    let self_test = flags.contains_key("self-test");
-    let self_test_steal = flags.contains_key("self-test-steal");
-    // The steal-order mutation only bites where stealing exists, so its
-    // self-test pins the grid to the async model unless told otherwise.
-    let default_models = if self_test_steal { "async" } else { "solaris,async" };
-    let models = parse_list::<vppb_model::ModelKind>(
-        flags.get("model").map_or(default_models, String::as_str),
-    )
-    .map_err(|_| "bad --model list (expected solaris and/or async)")?;
+    let models =
+        parse_list::<ModelKind>(flags.get("model").map_or("solaris,async", String::as_str))
+            .map_err(|_| "bad --model list (expected solaris and/or async)")?;
     let grid = ConfigGrid { cpus, modes: LwpMode::ALL.to_vec(), models };
     if grid.is_empty() {
         return Err("fuzz: empty configuration grid".into());
     }
-    let tweaks =
-        OracleTweaks { invert_dispatch_tiebreak: self_test, reverse_steal_order: self_test_steal };
-    let self_test = self_test || self_test_steal;
-    let gen = GenParams::default();
+    let self_test = flags.contains_key("self-test");
+    let chunked = flags.contains_key("chunked");
     let do_shrink = flags.contains_key("shrink");
     let budget: usize = flag(flags, "shrink-budget", 200)?;
     let json = flags.contains_key("json");
-    let chunked = flags.contains_key("chunked");
+    let repro_dir = flags.get("repro-dir").map(String::as_str).unwrap_or(".");
+    let gen = GenParams::default();
 
-    // Same folding as `fuzz_corpus`, inlined for progress reporting.
-    let mut report = vppb_oracle::FuzzReport::default();
-    let mut chunk_comparisons = 0usize;
-    for (i, seed) in (start..start.saturating_add(seeds)).enumerate() {
-        report.seeds += 1;
-        let recorded_ok = match vppb_oracle::fuzz_one(seed, &gen, &grid, tweaks) {
-            Ok(FuzzOutcome::Clean { configs, .. }) => {
-                report.configs_checked += configs;
-                true
-            }
-            Ok(FuzzOutcome::Diverged(d)) => {
-                report.configs_checked += 1;
-                report.divergences.push(d);
-                true
-            }
-            Err(e) => {
-                report.divergences.push(Divergence {
-                    seed,
-                    cpus: 0,
-                    mode: LwpMode::PerThread,
-                    model: vppb_model::ModelKind::SolarisTs,
-                    detail: format!("pipeline error (not a scheduling divergence): {e}"),
-                    plan_ops: 0,
-                });
-                false
-            }
-        };
-        if chunked && recorded_ok {
-            // Second axis: the same recorded log, streamed in chunks split
-            // at seeded record boundaries — every rolling prediction must
-            // be bit-identical to a cold run of the same prefix.
-            let spec = ProgSpec::generate(seed, &gen);
-            let rec = logio::record(&spec.build_app(), &logio::RecordOptions::default())
-                .map_err(|e| format!("fuzz --chunked: re-record seed {seed:#x} failed: {e}"))?;
-            let bytes = vppb_model::binlog::encode(&rec.log).map_err(|e| e.to_string())?;
-            for &c in &grid.cpus {
-                match vppb_sim::check_chunked_equivalence(&bytes, &SimParams::cpus(c), seed) {
-                    Ok(n) => chunk_comparisons += n,
-                    Err(detail) => report.divergences.push(Divergence {
-                        seed,
-                        cpus: c,
-                        mode: LwpMode::PerThread,
-                        model: vppb_model::ModelKind::SolarisTs,
-                        detail: format!("incremental replay diverged from cold run: {detail}"),
-                        plan_ops: 0,
-                    }),
-                }
-            }
+    // One pass per oracle: the real one, or under `--self-test` each
+    // planted bug, the steal-order one on the async points only.
+    let passes = if self_test {
+        if chunked {
+            return Err(format!("fuzz: --self-test and --chunked are separate runs\n{}", usage()));
         }
-        if (i + 1) % 100 == 0 && ((i + 1) as u64) < seeds {
-            eprintln!(
-                "vppb fuzz: {}/{seeds} seeds, {} divergence(s) so far",
-                i + 1,
-                report.divergences.len()
-            );
+        if !grid.models.contains(&ModelKind::AsyncPool) {
+            return Err(format!(
+                "fuzz: --self-test needs the async model on the grid, where its steal-order bug \
+                 lives\n{}",
+                usage()
+            ));
         }
-    }
+        let async_grid = ConfigGrid { models: vec![ModelKind::AsyncPool], ..grid.clone() };
+        let [tiebreak, steal] = &PLANTED_BUGS;
+        vec![(Some(tiebreak), grid.clone()), (Some(steal), async_grid)]
+    } else {
+        vec![(None, grid.clone())]
+    };
 
     /// Minimized reproducer, as reported under `--json`.
     #[derive(serde::Serialize)]
@@ -736,8 +721,9 @@ fn fuzz(flags: &BTreeMap<String, String>) -> Result<ExitCode, String> {
         /// Candidate reductions evaluated / accepted while shrinking.
         attempts: usize,
         accepted: usize,
-        /// Path of the replayable text log written for this reproducer.
-        log: String,
+        /// Path of the replayable text log written for this reproducer
+        /// (none when a self-test shrank it without `--shrink`).
+        log: Option<String>,
     }
 
     /// One divergence, as reported under `--json`.
@@ -775,102 +761,190 @@ fn fuzz(flags: &BTreeMap<String, String>) -> Result<ExitCode, String> {
         divergences: Vec<DivergenceDump>,
     }
 
-    let repro_dir = flags.get("repro-dir").map(String::as_str).unwrap_or(".");
-    let mut dumps = Vec::new();
-    for d in &report.divergences {
-        if !json {
-            eprintln!("vppb fuzz: divergence at {d}");
-        }
-        let mut shrunk = None;
+    // Delta-debug one divergent seed; under `--shrink`, also write the
+    // minimized program as a replayable text log plus a note.
+    let shrink_seed = |seed: u64,
+                       grid: &ConfigGrid,
+                       tweaks: OracleTweaks,
+                       slug: &str|
+     -> Result<Option<ShrunkDump>, String> {
+        let spec = ProgSpec::generate(seed, &gen);
+        let Some(r) = vppb_oracle::shrink(&spec, grid, tweaks, budget) else {
+            return Ok(None);
+        };
+        let mut log = None;
         if do_shrink {
-            let spec = ProgSpec::generate(d.seed, &gen);
-            if let Some(r) = vppb_oracle::shrink(&spec, &grid, tweaks, budget) {
-                std::fs::create_dir_all(repro_dir).map_err(|e| e.to_string())?;
-                let log_path = format!("{repro_dir}/fuzz-repro-{:016x}.vppb", d.seed);
-                let app = r.spec.build_app();
-                let rec = logio::record(&app, &logio::RecordOptions::default())
-                    .map_err(|e| e.to_string())?;
-                logio::save_text(&rec.log, &log_path).map_err(|e| e.to_string())?;
-                let note_path = format!("{repro_dir}/fuzz-repro-{:016x}.txt", d.seed);
-                std::fs::write(
-                    &note_path,
-                    format!(
-                        "minimized divergence: {}\n\nshrunk spec ({} candidate(s) tried, {} \
-                         accepted):\n{:#?}\n",
-                        r.divergence, r.attempts, r.accepted, r.spec
-                    ),
-                )
+            std::fs::create_dir_all(repro_dir).map_err(|e| e.to_string())?;
+            let stem = format!("{repro_dir}/fuzz-repro-{seed:016x}{slug}");
+            let log_path = format!("{stem}.vppb");
+            let rec = logio::record(&r.spec.build_app(), &logio::RecordOptions::default())
                 .map_err(|e| e.to_string())?;
-                if !json {
-                    eprintln!(
-                        "vppb fuzz: shrunk seed {:#018x} to {} plan ops ({} candidate(s) tried, \
-                         {} accepted) -> {log_path}",
-                        d.seed, r.divergence.plan_ops, r.attempts, r.accepted
-                    );
+            logio::save_text(&rec.log, &log_path).map_err(|e| e.to_string())?;
+            std::fs::write(
+                format!("{stem}.txt"),
+                format!(
+                    "minimized divergence: {}\n\nshrunk spec ({} candidate(s) tried, {} \
+                     accepted):\n{:#?}\n",
+                    r.divergence, r.attempts, r.accepted, r.spec
+                ),
+            )
+            .map_err(|e| e.to_string())?;
+            log = Some(log_path);
+        }
+        if !json {
+            eprintln!(
+                "vppb fuzz: shrunk seed {seed:#018x} to {} plan ops ({} candidate(s) tried, {} \
+                 accepted){}",
+                r.divergence.plan_ops,
+                r.attempts,
+                r.accepted,
+                log.as_ref().map_or(String::new(), |p| format!(" -> {p}"))
+            );
+        }
+        Ok(Some(ShrunkDump {
+            plan_ops: r.divergence.plan_ops,
+            attempts: r.attempts,
+            accepted: r.accepted,
+            log,
+        }))
+    };
+
+    let end = start.saturating_add(seeds);
+    let mut comparisons = 0usize;
+    let mut chunk_comparisons = 0usize;
+    let mut dumps = Vec::new();
+    let mut failures = Vec::new();
+    for &(bug, ref grid) in &passes {
+        let tweaks = bug.map_or(OracleTweaks::default(), |b| b.tweaks);
+        let mut report = vppb_oracle::FuzzReport::default();
+        for block in (start..end).step_by(FUZZ_BLOCK as usize) {
+            let block = block..end.min(block.saturating_add(FUZZ_BLOCK));
+            let r = vppb_oracle::fuzz_corpus(block.clone(), &gen, grid, tweaks);
+            report.seeds += r.seeds;
+            report.configs_checked += r.configs_checked;
+            report.divergences.extend(r.divergences);
+            // Second axis: the same recorded log, streamed in chunks split
+            // at seeded record boundaries — every rolling prediction must
+            // be bit-identical to a cold run of the same prefix.
+            for seed in block.clone().filter(|_| chunked) {
+                let spec = ProgSpec::generate(seed, &gen);
+                let Ok(rec) = logio::record(&spec.build_app(), &logio::RecordOptions::default())
+                else {
+                    continue; // the corpus pass reported the pipeline error
+                };
+                let bytes = vppb_model::binlog::encode(&rec.log).map_err(|e| e.to_string())?;
+                for &c in &grid.cpus {
+                    match vppb_sim::check_chunked_equivalence(&bytes, &SimParams::cpus(c), seed) {
+                        Ok(n) => chunk_comparisons += n,
+                        Err(detail) => report.divergences.push(vppb_oracle::Divergence {
+                            seed,
+                            cpus: c,
+                            mode: LwpMode::PerThread,
+                            model: ModelKind::SolarisTs,
+                            detail: format!("incremental replay diverged from cold run: {detail}"),
+                            plan_ops: 0,
+                        }),
+                    }
                 }
-                shrunk = Some(ShrunkDump {
-                    plan_ops: r.divergence.plan_ops,
-                    attempts: r.attempts,
-                    accepted: r.accepted,
-                    log: log_path,
-                });
+            }
+            if block.end < end {
+                eprintln!(
+                    "vppb fuzz: {}/{seeds} seeds, {} divergence(s) so far",
+                    block.end - start,
+                    report.divergences.len()
+                );
             }
         }
-        dumps.push(DivergenceDump {
-            seed: format!("{:#018x}", d.seed),
-            cpus: d.cpus,
-            lwps: d.mode.to_string(),
-            model: d.model.name().to_string(),
-            plan_ops: d.plan_ops,
-            detail: d.detail.clone(),
-            shrunk,
-        });
+        comparisons += report.configs_checked;
+
+        // A self-test always shrinks its first divergence, to hold it to
+        // the bug's bound.
+        let mut first_shrunk = None;
+        for (i, d) in report.divergences.iter().enumerate() {
+            if !json {
+                eprintln!("vppb fuzz: divergence at {d}");
+            }
+            let shrunk = if do_shrink || (bug.is_some() && i == 0) {
+                shrink_seed(d.seed, grid, tweaks, bug.map_or("", |b| b.slug))?
+            } else {
+                None
+            };
+            if i == 0 {
+                first_shrunk = shrunk.as_ref().map(|s| s.plan_ops);
+            }
+            dumps.push(DivergenceDump {
+                seed: format!("{:#018x}", d.seed),
+                cpus: d.cpus,
+                lwps: d.mode.to_string(),
+                model: d.model.name().to_string(),
+                plan_ops: d.plan_ops,
+                detail: d.detail.clone(),
+                shrunk,
+            });
+        }
+
+        if !json {
+            let chunk_note = if chunked {
+                format!(", {chunk_comparisons} incremental-vs-cold prefix comparison(s)")
+            } else {
+                String::new()
+            };
+            println!(
+                "{}fuzzed {} seed(s) (from {start:#x}) over {} grid point(s) each: {} \
+                 comparison(s){chunk_note}, {} divergence(s)",
+                bug.map_or(String::new(), |b| format!("{}: ", b.name)),
+                report.seeds,
+                grid.len(),
+                report.configs_checked,
+                report.divergences.len()
+            );
+        }
+        let Some(bug) = bug else { continue };
+        let verdict = match (report.divergences.first(), first_shrunk) {
+            (None, _) => format!("the {} went unnoticed", bug.name),
+            (Some(d), None) => format!(
+                "caught the {} at seed {:#018x}, which did not re-diverge while shrinking",
+                bug.name, d.seed
+            ),
+            (Some(d), Some(ops)) => format!(
+                "caught the {} at seed {:#018x}, shrunk to {ops} plan ops (bound {})",
+                bug.name, d.seed, bug.max_shrunk_ops
+            ),
+        };
+        if first_shrunk.is_none_or(|ops| ops > bug.max_shrunk_ops) {
+            failures.push(verdict);
+        } else if !json {
+            println!("self-test: {verdict}");
+        }
     }
 
-    let caught = !report.is_clean();
+    let clean = dumps.is_empty();
     if json {
         let dump = FuzzDump {
             seeds,
             seed_start: start,
             models: grid.models.iter().map(|m| m.name().to_string()).collect(),
             grid_points: grid.len(),
-            comparisons: report.configs_checked,
+            comparisons,
             chunk_comparisons,
             self_test,
-            clean: report.is_clean(),
+            clean,
             divergences: dumps,
         };
         println!("{}", serde_json::to_string(&dump).map_err(|e| e.to_string())?);
-    } else {
-        let chunk_note = if chunked {
-            format!(", {chunk_comparisons} incremental-vs-cold prefix comparison(s)")
-        } else {
-            String::new()
-        };
-        println!(
-            "fuzzed {} seed(s) (from {:#x}) over {} grid point(s) each: {} comparison(s){}, {} \
-             divergence(s)",
-            report.seeds,
-            start,
-            grid.len(),
-            report.configs_checked,
-            chunk_note,
-            report.divergences.len()
-        );
     }
     if self_test {
-        if caught {
-            if !json {
-                println!("self-test passed: the injected scheduling mutation was caught");
-            }
-            Ok(ExitCode::SUCCESS)
-        } else {
-            eprintln!(
-                "vppb: fuzz self-test FAILED: the injected scheduling mutation went unnoticed"
-            );
-            Ok(ExitCode::from(EXIT_UNRECOVERABLE))
+        for f in &failures {
+            eprintln!("vppb: fuzz self-test FAILED: {f}");
         }
-    } else if caught {
+        if !failures.is_empty() {
+            return Ok(ExitCode::from(EXIT_UNRECOVERABLE));
+        }
+        if !json {
+            println!("self-test passed: both planted scheduling bugs were caught and shrunk");
+        }
+        Ok(ExitCode::SUCCESS)
+    } else if !clean {
         eprintln!("vppb: engine and oracle disagree on a schedule; see the divergences above");
         Ok(ExitCode::from(EXIT_UNRECOVERABLE))
     } else {
@@ -997,7 +1071,7 @@ fn usage() -> String {
      [--request-timeout-ms T] [--max-body-bytes B] [--store DIR] \
      [--tenant-backlog Q] [--tenant-weights a=4,b=1]\n  \
      vppb fuzz [--seeds N] [--seed-start S] [--cpus N,N,..] [--model solaris,async] [--chunked] \
-     [--shrink] [--self-test] [--self-test-steal] [--repro-dir DIR] [--json]\n  \
+     [--shrink] [--shrink-budget N] [--self-test] [--repro-dir DIR] [--json]\n  \
      vppb watch <LOG> [--cpus N] [--chunks N] [--interval-ms D] [--idle-timeout-ms T] [--once] [--metrics-json FILE]\n\
      \n\
      exit codes: 0 clean, 1 completed after reported recovery, 2 unrecoverable"
@@ -1017,41 +1091,55 @@ fn parse_model(flags: &BTreeMap<String, String>) -> Result<vppb_model::ModelKind
     }
 }
 
-/// Split positional args from `--key value` / `--switch` / `-o value` flags.
-fn parse_flags(args: &[String]) -> (Vec<String>, BTreeMap<String, String>) {
+/// The flags each verb reads: `(switches, flags that take a value)`,
+/// space-separated.
+fn verb_flags(cmd: &str) -> (&'static str, &'static str) {
+    match cmd {
+        "record" => ("", "threads scale o format"),
+        "simulate" => ("ansi stats lenient", "cpus lwps comm-delay-us model svg html metrics-json"),
+        "predict" => ("lenient", "cpus model metrics-json"),
+        "sweep" => ("no-color lenient", "cpus lwps comm-delay-us model jobs metrics-json"),
+        "check" => ("strict lenient json", ""),
+        "serve" => (
+            "",
+            "addr workers cache-bytes queue-depth request-timeout-ms max-body-bytes store \
+             tenant-backlog tenant-weights",
+        ),
+        "fuzz" => {
+            ("chunked shrink self-test json", "seeds seed-start cpus model shrink-budget repro-dir")
+        }
+        "watch" => ("once", "cpus chunks interval-ms idle-timeout-ms metrics-json"),
+        _ => ("", ""),
+    }
+}
+
+/// Split `cmd`'s positional args from its `--key value` / `--switch` /
+/// `-o value` flags. A flag the verb does not read is a usage error, so a
+/// misspelt or retired switch can neither take the next argument as its
+/// value nor be silently ignored.
+fn parse_flags(
+    cmd: &str,
+    args: &[String],
+) -> Result<(Vec<String>, BTreeMap<String, String>), String> {
+    let (switches, valued) = verb_flags(cmd);
     let mut pos = Vec::new();
     let mut flags = BTreeMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if let Some(key) = a.strip_prefix("--").or_else(|| a.strip_prefix('-')) {
-            let is_switch = matches!(
-                key,
-                "ansi"
-                    | "stats"
-                    | "no-color"
-                    | "strict"
-                    | "lenient"
-                    | "json"
-                    | "shrink"
-                    | "self-test"
-                    | "chunked"
-                    | "once"
-            );
-            if is_switch {
-                flags.insert(key.to_string(), "true".to_string());
-            } else if i + 1 < args.len() {
-                flags.insert(key.to_string(), args[i + 1].clone());
-                i += 1;
-            } else {
-                flags.insert(key.to_string(), String::new());
-            }
-        } else {
+    let mut args = args.iter();
+    while let Some(a) = args.next() {
+        let Some(key) = a.strip_prefix("--").or_else(|| a.strip_prefix('-')) else {
             pos.push(a.clone());
-        }
-        i += 1;
+            continue;
+        };
+        let value = if switches.split(' ').any(|f| f == key) {
+            "true".to_string()
+        } else if valued.split(' ').any(|f| f == key) {
+            args.next().cloned().unwrap_or_default()
+        } else {
+            return Err(format!("{cmd}: unknown flag `{a}`\n{}", usage()));
+        };
+        flags.insert(key.to_string(), value);
     }
-    (pos, flags)
+    Ok((pos, flags))
 }
 
 fn flag<T: std::str::FromStr>(

@@ -192,6 +192,54 @@ fn unknown_commands_and_workloads_fail_cleanly() {
     assert!(stderr.contains("unknown workload"));
 }
 
+#[test]
+fn flags_a_verb_does_not_read_are_usage_errors() {
+    // A retired switch must fail loudly rather than run a plain fuzz, and
+    // must not take the next flag as its value.
+    for args in [
+        &["fuzz", "--self-test-steal"][..],
+        &["fuzz", "--seeds", "8", "--self-test-steal", "--shrink", "--repro-dir", "repros"],
+        &["predict", "x.vppb", "--json"],
+    ] {
+        let (code, _, stderr) = vppb_code(args);
+        assert_eq!(code, 2, "{args:?}: {stderr}");
+        assert!(stderr.contains("unknown flag") && stderr.contains("usage"), "{stderr}");
+    }
+    // The self-test plants a steal-order bug, which needs the async model.
+    let (code, _, stderr) =
+        vppb_code(&["fuzz", "--seeds", "4", "--self-test", "--model", "solaris"]);
+    assert_eq!(code, 2, "{stderr}");
+}
+
+#[test]
+fn fuzz_agrees_with_the_oracle_and_its_self_test_catches_both_planted_bugs() {
+    let (ok, stdout, stderr) = vppb(&["fuzz", "--seeds", "4", "--chunked"]);
+    assert!(ok, "{stderr}");
+    assert!(
+        stdout.contains("128 comparison(s)") && stdout.contains(", 0 divergence(s)"),
+        "{stdout}"
+    );
+
+    let (code, stdout, stderr) =
+        vppb_code(&["fuzz", "--seeds", "24", "--seed-start", "6552", "--self-test"]);
+    assert_eq!(code, 0, "stdout: {stdout}\nstderr: {stderr}");
+    // Each planted bug's first divergence, shrunk, within its bound.
+    for (bug, bound) in [("tie-break inversion", 20), ("async steal-order reversal", 30)] {
+        let line = stdout
+            .lines()
+            .find(|l| l.starts_with(&format!("self-test: caught the {bug} ")))
+            .unwrap_or_else(|| panic!("no verdict for the {bug}:\n{stdout}"));
+        let ops: usize = line
+            .split("shrunk to ")
+            .nth(1)
+            .and_then(|rest| rest.split(' ').next())
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("no shrunk size in {line:?}"));
+        assert!(ops <= bound, "{bug}: first divergence shrank only to {ops} ops: {line}");
+    }
+    assert!(stdout.contains("self-test passed"), "{stdout}");
+}
+
 /// Record one binary log and return (pristine bytes, its path, dir).
 fn recorded_bin(name: &str) -> (Vec<u8>, std::path::PathBuf, std::path::PathBuf) {
     let dir = tmpdir(name);

@@ -139,6 +139,32 @@ fn concurrent_predictions_are_bit_identical_to_the_cli() {
     let stdout = String::from_utf8(out.stdout).unwrap();
     let cli = stdout.trim().rsplit(' ').next().unwrap().to_string();
     assert_eq!(served, cli, "service and CLI disagree on the speed-up (cli line: {stdout:?})");
+
+    // A fleet of 100 predictions over 10 clients: every one a
+    // byte-identical memo hit, with no 5xx anywhere.
+    let fleet: Vec<_> = (0..10)
+        .map(|_| {
+            let req = req.clone();
+            std::thread::spawn(move || {
+                let http = HttpClient::new(addr);
+                (0..10)
+                    .map(|_| http.request("POST", "/predict", req.as_bytes()).expect("predict"))
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    for (status, body) in fleet.into_iter().flat_map(|h| h.join().unwrap()) {
+        assert_eq!(status, 200, "predict: {}", String::from_utf8_lossy(&body));
+        assert_eq!(&body, first, "fleet responses must be byte-identical");
+    }
+    let (status, body) = HttpClient::new(addr).request("GET", "/metrics", b"").unwrap();
+    assert_eq!(status, 200);
+    let metrics: serde::Value = serde_json::from_slice(&body).unwrap();
+    let cache = metrics.get("service").and_then(|s| s.get("result_cache")).expect("result_cache");
+    let hit_rate = f64_field(cache, "hit_rate");
+    assert!(hit_rate > 0.9, "result-cache hit rate {hit_rate} must clear 0.9");
+    let http = metrics.get("http").expect("http counters");
+    assert_eq!(f64_field(http, "server_5xx"), 0.0, "no request may answer 5xx");
 }
 
 /// `vppb predict` on `bytes`, returning the formatted speed-up digits.
