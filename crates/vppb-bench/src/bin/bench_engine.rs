@@ -1,13 +1,16 @@
-//! Emit `BENCH_engine.json`: the engine-throughput baseline the repo
-//! tracks across PRs — median wall time and ns per discrete-event step
-//! for (a) a raw 8-CPU engine run of a SPLASH-style kernel, (b) one
-//! 8-CPU trace-driven prediction, and (c) an 8-configuration what-if
-//! sweep.
+//! Measure the engine-throughput report the repo tracks across PRs
+//! (checked in as `BENCH_engine.json`): median wall time and ns per
+//! discrete-event step for (a) a raw 8-CPU engine run of a SPLASH-style
+//! kernel, (b) one 8-CPU trace-driven prediction, and (c) an
+//! 8-configuration what-if sweep.
 //!
 //! Usage: `cargo run --release -p vppb-bench --bin bench_engine
 //! [--fast] [--out FILE] [--check] [--baseline FILE]`. `--fast` shrinks
 //! the workloads and iteration count for CI smoke runs; the checked-in
-//! baseline comes from the full mode. Timings use `std::time::Instant`
+//! baseline comes from the full mode. The report is written only to the
+//! `--out` file; without `--out` the timings go to stderr alone, so no
+//! run overwrites the baseline by default. Any other argument prints the
+//! usage and exits 2 before measuring. Timings use `std::time::Instant`
 //! medians so the binary works without any bench framework.
 //!
 //! `--check` is the CI perf-regression gate: after measuring, compare
@@ -148,20 +151,20 @@ fn check_against_baseline(report: &Report, baseline_path: &str) -> Vec<String> {
     regressed
 }
 
+const USAGE: &str = "usage: bench_engine [--fast] [--out FILE] [--check] [--baseline FILE]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let fast = args.iter().any(|a| a == "--fast");
-    let check = args.iter().any(|a| a == "--check");
-    let baseline = args
-        .iter()
-        .position(|a| a == "--baseline")
-        .map(|i| args.get(i + 1).expect("--baseline needs a file path").clone())
-        .unwrap_or_else(|| "BENCH_engine.json".to_string());
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .map(|i| args.get(i + 1).expect("--out needs a file path").clone())
-        .unwrap_or_else(|| "BENCH_engine.json".to_string());
+    let flags = vppb_bench::parse_flags(
+        std::env::args().skip(1),
+        USAGE,
+        &["--fast", "--check"],
+        &["--out", "--baseline"],
+    );
+    let fast = flags.contains_key("--fast");
+    let check = flags.contains_key("--check");
+    let baseline =
+        flags.get("--baseline").cloned().flatten().unwrap_or_else(|| "BENCH_engine.json".into());
+    let out = flags.get("--out").cloned().flatten();
     let (mode, scale, iters) = if fast { ("fast", 0.05, 5) } else { ("full", 0.2, 21) };
     eprintln!("bench_engine: {mode} mode (workload scale {scale}, {iters} iters)");
 
@@ -241,9 +244,11 @@ fn main() {
         ratio >= 5.0,
         "cached predictions must be at least 5x faster than cold (got {ratio:.1}x)"
     );
-    std::fs::write(&out, serde_json::to_string_pretty(&report).expect("serializable") + "\n")
-        .expect("write report");
-    eprintln!("wrote {out}");
+    if let Some(out) = &out {
+        std::fs::write(out, serde_json::to_string_pretty(&report).expect("serializable") + "\n")
+            .expect("write report");
+        eprintln!("wrote {out}");
+    }
 
     if check {
         let regressed = check_against_baseline(&report, &baseline);

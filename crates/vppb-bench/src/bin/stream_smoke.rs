@@ -1,4 +1,5 @@
-//! Emit `BENCH_stream.json`: the streaming-ingestion cost baseline.
+//! Measure the streaming-ingestion cost report the repo tracks across PRs
+//! (checked in as `BENCH_stream.json`).
 //!
 //! A lock-stepped mill workload (mutex/join synchronization only, so the
 //! committed prefix — DESIGN.md §6f — advances with every append) is
@@ -14,6 +15,9 @@
 //! Usage: `cargo run --release -p vppb-bench --bin stream_smoke
 //! [--fast] [--out FILE]`. `--fast` shrinks the workload and chunk count
 //! for CI smoke runs; the checked-in baseline comes from the full mode.
+//! The report is written only to the `--out` file; without `--out` the
+//! verdict goes to stderr alone. Any other argument prints the usage and
+//! exits 2 before measuring.
 
 use serde::Serialize;
 use std::time::Instant;
@@ -91,14 +95,12 @@ struct Report {
     per_chunk: Vec<ChunkCost>,
 }
 
+const USAGE: &str = "usage: stream_smoke [--fast] [--out FILE]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let fast = args.iter().any(|a| a == "--fast");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .map(|i| args.get(i + 1).expect("--out needs a file path").clone())
-        .unwrap_or_else(|| "BENCH_stream.json".to_string());
+    let flags = vppb_bench::parse_flags(std::env::args().skip(1), USAGE, &["--fast"], &["--out"]);
+    let fast = flags.contains_key("--fast");
+    let out = flags.get("--out").cloned().flatten();
     let (mode, workers, rounds, n_chunks) =
         if fast { ("fast", 6u32, 200u64, 50usize) } else { ("full", 8, 400, 100) };
     eprintln!("stream_smoke: {mode} mode ({workers} workers x {rounds} rounds, {n_chunks} chunks)");
@@ -213,9 +215,11 @@ fn main() {
         threshold,
         per_chunk,
     };
-    let json = serde_json::to_string_pretty(&report).expect("serialize report");
-    std::fs::write(&out, json + "\n").expect("write report");
-    eprintln!("stream_smoke: wrote {out}");
+    if let Some(out) = &out {
+        let json = serde_json::to_string_pretty(&report).expect("serialize report");
+        std::fs::write(out, json + "\n").expect("write report");
+        eprintln!("stream_smoke: wrote {out}");
+    }
 
     if ratio > threshold {
         eprintln!("stream_smoke: FAIL — amortized ratio {ratio:.4} exceeds {threshold}");

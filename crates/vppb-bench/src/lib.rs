@@ -16,7 +16,34 @@ pub mod overhead_exp;
 pub mod table1;
 pub mod whatif;
 
+use std::collections::BTreeMap;
 use vppb_threads::{App, AppBuilder};
+
+/// Parse a bench binary's arguments: each one is a flag from `switches`,
+/// or a flag from `valued` followed by its value. Anything else (a flag
+/// the binary does not read, a valued flag with no value, a stray word)
+/// prints `usage` and exits 2, before anything is measured or written.
+/// Maps each flag given to its value (`None` for a switch).
+pub fn parse_flags(
+    args: impl IntoIterator<Item = String>,
+    usage: &str,
+    switches: &[&str],
+    valued: &[&str],
+) -> BTreeMap<String, Option<String>> {
+    let mut flags = BTreeMap::new();
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        if switches.contains(&arg.as_str()) {
+            flags.insert(arg, None);
+        } else if let (true, Some(value)) = (valued.contains(&arg.as_str()), args.next()) {
+            flags.insert(arg, Some(value));
+        } else {
+            eprintln!("{usage}");
+            std::process::exit(2);
+        }
+    }
+    flags
+}
 
 /// A program with more runnable threads than CPUs, used by the dispatch
 /// ablation (priority aging only matters when LWPs compete).

@@ -45,7 +45,7 @@ use crate::diag::{DiagCode, Diagnostic, Pos};
 use crate::event::{EventKind, EventResult, Phase};
 use crate::ids::{SyncObjId, ThreadId};
 use crate::source::CodeAddr;
-use crate::time::{Duration, Time};
+use crate::time::{Duration, Time, NANOS_PER_MICRO};
 use crate::trace::{LogHeader, TraceLog, TraceRecord};
 use crate::VppbError;
 use bytes::{Buf, BufMut};
@@ -479,8 +479,8 @@ fn decode_modes(data: &[u8], lenient: bool) -> Result<(TraceLog, Vec<Diagnostic>
                     // Resynchronize past the bad record. Keep the time
                     // chain if its prefix (tag, phase, dt) is readable so
                     // later absolute times stay right.
-                    if let Some(dt) = record_dt(frame) {
-                        prev_us += dt;
+                    if let Some(us) = record_dt(frame).and_then(|dt| advance(prev_us, dt)) {
+                        prev_us = us;
                     }
                     let (wcode, action) = if code == DiagCode::UnknownTag {
                         (DiagCode::SkippedUnknownTag, "skipped")
@@ -639,6 +639,12 @@ fn record_dt(body: &[u8]) -> Option<u64> {
     get_varint(&mut body.get(2..)?).ok()
 }
 
+/// The time, in micros, of a record `dt` after `prev_us`, or `None` when
+/// it is past what a [`Time`] holds.
+fn advance(prev_us: u64, dt: u64) -> Option<u64> {
+    prev_us.checked_add(dt).filter(|us| us.checked_mul(NANOS_PER_MICRO).is_some())
+}
+
 /// Parse one record body. On success returns the record and the updated
 /// time-delta accumulator; `prev_us` is only committed by the caller so a
 /// failed parse has no side effects.
@@ -656,7 +662,13 @@ fn parse_record_body(buf: &mut &[u8], prev_us: u64, seq: u64) -> Result<(TraceRe
         2 => Phase::Mark,
         p => return Err((DiagCode::BadPhaseByte, format!("phase byte {p} is not B/A/M (0/1/2)"))),
     };
-    let us = prev_us + get_varint(buf)?;
+    let dt = get_varint(buf)?;
+    let us = advance(prev_us, dt).ok_or_else(|| {
+        (
+            DiagCode::VarintOverflow,
+            format!("time delta {dt} us after {prev_us} us overflows the clock"),
+        )
+    })?;
     let thread = ThreadId(get_varint(buf)? as u32);
     let obj = |buf: &mut &[u8], mk: fn(u32) -> SyncObjId| -> Result<SyncObjId, Fail> {
         Ok(mk(get_varint(buf)? as u32))
@@ -861,6 +873,66 @@ mod tests {
         assert_eq!(diags[0].code, DiagCode::SkippedUnknownTag);
         // Absolute times after the skipped record are unchanged.
         assert_eq!(salvaged.records.last().unwrap().time, log.records.last().unwrap().time);
+    }
+
+    /// `bin` with a v2 frame holding an `end_collect` mark `dt` micros
+    /// after its predecessor spliced in before the last record, and the
+    /// frame's offset.
+    fn with_time_jump(bin: &[u8], dt: u64) -> (Vec<u8>, usize) {
+        let mut at = 10 + u32::from_le_bytes([bin[6], bin[7], bin[8], bin[9]]) as usize;
+        let mut last = at;
+        while at < bin.len() {
+            last = at;
+            at += 4 + u32::from_le_bytes([bin[at], bin[at + 1], bin[at + 2], bin[at + 3]]) as usize;
+        }
+        let mut body = vec![T_END_COLLECT, 2];
+        put_varint(&mut body, dt);
+        put_varint(&mut body, 1); // thread
+        body.push(R_NONE);
+        put_varint(&mut body, 0); // caller
+        let mut out = bin[..last].to_vec();
+        out.put_u32_le(body.len() as u32);
+        out.extend_from_slice(&body);
+        out.extend_from_slice(&bin[last..]);
+        (out, last)
+    }
+
+    #[test]
+    fn a_time_past_the_clock_is_a_positioned_varint_overflow() {
+        let log = sample_log();
+        let bin = encode(&log).unwrap();
+        // 2^62 us fits a u64 but not as nanoseconds; u64::MAX overflows
+        // the sum itself.
+        for dt in [1 << 62, u64::MAX] {
+            let (bad, at) = with_time_jump(&bin, dt);
+            match decode(&bad) {
+                Err(VppbError::Diag(d)) => {
+                    assert_eq!((d.code, d.pos), (DiagCode::VarintOverflow, Pos::Byte(at as u64)));
+                    assert!(d.message.contains("overflows the clock"), "{}", d.message);
+                }
+                other => panic!("dt {dt}: expected a varint overflow, got {other:?}"),
+            }
+            assert!(matches!(next_frame(&bad, at, 70, 9), FrameStep::Damage));
+        }
+    }
+
+    #[test]
+    fn lenient_decode_drops_a_record_whose_time_overflows() {
+        let log = sample_log();
+        let bin = encode(&log).unwrap();
+        for dt in [1 << 62, u64::MAX] {
+            let (bad, at) = with_time_jump(&bin, dt);
+            let (salvaged, diags) = decode_lenient(&bad).unwrap();
+            // Every other record survives with its time: the chain skips
+            // the dropped one.
+            assert_eq!(salvaged.records, log.records);
+            assert_eq!(diags.len(), 1);
+            assert_eq!(
+                (diags[0].code, diags[0].pos),
+                (DiagCode::DroppedPartialRecord, Pos::Byte(at as u64))
+            );
+            assert!(diags[0].message.ends_with("record dropped"), "{}", diags[0].message);
+        }
     }
 
     #[test]

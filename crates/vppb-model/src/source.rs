@@ -93,12 +93,23 @@ impl SourceMap {
         addr
     }
 
-    /// Insert a location under a caller-chosen address. Used when
-    /// reconstructing a map from a parsed log file, where addresses must be
-    /// preserved exactly.
-    pub fn insert_raw(&mut self, addr: CodeAddr, loc: SourceLoc) {
-        self.next_addr = self.next_addr.max(addr.0 + 4);
-        std::sync::Arc::make_mut(&mut self.locs).insert(addr, loc);
+    /// Build a map from locations at caller-chosen addresses, as a parsed
+    /// log file lists them: the addresses are kept exactly, and where one
+    /// repeats, its last entry wins. The next interned address follows
+    /// the highest one, saturating at `u64::MAX`.
+    pub fn from_entries(mut entries: Vec<(CodeAddr, SourceLoc)>) -> SourceMap {
+        let next_addr = entries.iter().fold(0, |next, (a, _)| next.max(a.0.saturating_add(4)));
+        // A stable sort keeps repeats in input order; the dedup then keeps
+        // the last of each run.
+        entries.sort_by_key(|&(a, _)| a);
+        entries.dedup_by(|later, earlier| {
+            let repeat = later.0 == earlier.0;
+            if repeat {
+                std::mem::swap(later, earlier);
+            }
+            repeat
+        });
+        SourceMap { locs: std::sync::Arc::new(entries.into_iter().collect()), next_addr }
     }
 
     /// Resolve an address, as the debugger+parser pipeline would.
@@ -125,6 +136,17 @@ impl SourceMap {
     /// Iterate over `(address, location)` pairs in address order.
     pub fn iter(&self) -> impl Iterator<Item = (&CodeAddr, &SourceLoc)> {
         self.locs.iter()
+    }
+}
+
+/// The per-entry build [`SourceMap::from_entries`] replaced, one insert
+/// per `# src` line, kept as the reference the text parser's tests
+/// check the bulk build against.
+#[cfg(test)]
+impl SourceMap {
+    pub(crate) fn insert_one(&mut self, addr: CodeAddr, loc: SourceLoc) {
+        self.next_addr = self.next_addr.max(addr.0.saturating_add(4));
+        std::sync::Arc::make_mut(&mut self.locs).insert(addr, loc);
     }
 }
 
@@ -163,5 +185,30 @@ mod tests {
         let a = map.intern(SourceLoc::new("x.c", 1, "f"));
         assert!(a.0 >= 0x1000);
         assert_eq!(a.to_string(), format!("0x{:x}", a.0));
+    }
+
+    #[test]
+    fn bulk_build_keeps_the_last_repeat_and_saturates_the_next_address() {
+        let loc = |line| SourceLoc::new("m.c", line, "f");
+        let entries = vec![
+            (CodeAddr(0x20), loc(1)),
+            (CodeAddr(0x10), loc(2)),
+            (CodeAddr(0x20), loc(3)),
+            (CodeAddr(0x08), loc(4)),
+            (CodeAddr(0x20), loc(5)),
+        ];
+        let mut one_by_one = SourceMap::default();
+        for (a, l) in entries.clone() {
+            one_by_one.insert_one(a, l);
+        }
+        let bulk = SourceMap::from_entries(entries);
+        assert_eq!(bulk, one_by_one);
+        assert_eq!(bulk.resolve(CodeAddr(0x20)).map(|l| l.line), Some(5));
+        assert_eq!(bulk.next_addr, 0x24);
+        assert_eq!(SourceMap::from_entries(Vec::new()), SourceMap::default());
+
+        let top = SourceMap::from_entries(vec![(CodeAddr(u64::MAX), loc(1))]);
+        assert_eq!(top.next_addr, u64::MAX);
+        assert_eq!(top.len(), 1);
     }
 }

@@ -248,31 +248,33 @@ impl Durability {
 /// Memo-spill record: `{"id": <hex>, "fp": <hex16>, "resp": {...}}`. The
 /// fingerprint travels as a hex string so no JSON number-width question
 /// can ever corrupt a 64-bit hash.
+#[derive(serde::Serialize, serde::Deserialize)]
+struct MemoRecord {
+    id: String,
+    fp: String,
+    resp: crate::service::PredictResponse,
+}
+
 fn encode_memo_record(
     id: ContentId,
     fingerprint: u64,
     response: &crate::service::PredictResponse,
 ) -> Vec<u8> {
-    let doc = serde::Value::Object(vec![
-        ("id".to_string(), serde::Value::Str(id.to_string())),
-        ("fp".to_string(), serde::Value::Str(format!("{fingerprint:016x}"))),
-        ("resp".to_string(), serde::Serialize::to_value(response)),
-    ]);
-    serde_json::to_vec(&doc).unwrap_or_default()
+    let record = MemoRecord {
+        id: id.to_string(),
+        fp: format!("{fingerprint:016x}"),
+        resp: response.clone(),
+    };
+    serde_json::to_vec(&record).unwrap_or_default()
 }
 
 fn parse_memo_record(record: &[u8]) -> Option<RestoredMemo> {
-    let v: serde::Value = serde_json::from_slice(record).ok()?;
-    let id: ContentId = match v.get("id")? {
-        serde::Value::Str(s) => s.parse().ok()?,
-        _ => return None,
-    };
-    let fingerprint = match v.get("fp")? {
-        serde::Value::Str(s) => u64::from_str_radix(s, 16).ok()?,
-        _ => return None,
-    };
-    let response = serde::Deserialize::from_value(v.get("resp")?).ok()?;
-    Some(RestoredMemo { id, fingerprint, response })
+    let MemoRecord { id, fp, resp } = serde_json::from_slice(record).ok()?;
+    Some(RestoredMemo {
+        id: id.parse().ok()?,
+        fingerprint: u64::from_str_radix(&fp, 16).ok()?,
+        response: resp,
+    })
 }
 
 #[cfg(test)]

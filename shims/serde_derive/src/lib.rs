@@ -4,9 +4,11 @@
 //! No `syn`/`quote` are available offline, so this parses the derive
 //! input token stream by hand into a minimal item description (struct or
 //! enum, fields or variants, `#[serde(transparent)]` flag) and emits the
-//! trait impls as formatted source text. Supported shapes are the ones
-//! this workspace derives on: non-generic named structs, tuple structs,
-//! and externally-tagged enums with unit / tuple / struct variants.
+//! trait impls as formatted source text: `Serialize` impls are
+//! straight-line calls on a `::serde::Writer`, and `Deserialize` impls
+//! read a `::serde::Value` tree. Supported shapes are the ones this
+//! workspace derives on: non-generic named structs, tuple structs, and
+//! externally-tagged enums with unit / tuple / struct variants.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -207,97 +209,92 @@ fn parse_item(input: TokenStream) -> Item {
 
 // --- Serialize -------------------------------------------------------------
 
-/// Derive `Serialize` (value-tree rendering) for the shim framework.
+/// Statements writing `fields` as a JSON array, each field an expression
+/// naming a reference to it.
+fn write_array(fields: &[String]) -> String {
+    let mut code = String::from("w.begin_array();");
+    for f in fields {
+        code += &format!(" w.element(); ::serde::Serialize::serialize({f}, w);");
+    }
+    code + " w.end_array();"
+}
+
+/// Statements writing named fields as a JSON object; `access` turns a
+/// field's index and name into an expression referencing it.
+fn write_object(fields: &[Field], access: impl Fn(usize, &str) -> String) -> String {
+    let mut code = String::from("w.begin_object();");
+    for (k, f) in fields.iter().enumerate() {
+        let name = &f.name;
+        let field = access(k, name);
+        code += &format!(" w.key(\"{name}\"); ::serde::Serialize::serialize({field}, w);");
+    }
+    code + " w.end_object();"
+}
+
+/// Derive `Serialize` (JSON written straight into a `::serde::Writer`)
+/// for the shim framework.
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
-    let body = match parse_item(input) {
+    let (name, code) = match parse_item(input) {
         Item::Struct { name, fields, transparent } => {
-            let expr = match (&fields, transparent) {
-                (Fields::Tuple(1), true) => "::serde::Serialize::to_value(&self.0)".to_string(),
-                (Fields::Named(names), _) => {
-                    let pairs: Vec<String> = names
-                        .iter()
-                        .map(|f| {
-                            let f = &f.name;
-                            format!(
-                                "(\"{f}\".to_string(), ::serde::Serialize::to_value(&self.{f}))"
-                            )
-                        })
-                        .collect();
-                    format!("::serde::Value::Object(vec![{}])", pairs.join(", "))
+            let code = match (&fields, transparent) {
+                (Fields::Tuple(1), true) => {
+                    "::serde::Serialize::serialize(&self.0, w);".to_string()
                 }
+                (Fields::Named(fs), _) => write_object(fs, |_, f| format!("&self.{f}")),
                 (Fields::Tuple(n), _) => {
-                    let items: Vec<String> = (0..*n)
-                        .map(|k| format!("::serde::Serialize::to_value(&self.{k})"))
-                        .collect();
-                    format!("::serde::Value::Array(vec![{}])", items.join(", "))
+                    write_array(&(0..*n).map(|k| format!("&self.{k}")).collect::<Vec<_>>())
                 }
-                (Fields::Unit, _) => "::serde::Value::Null".to_string(),
+                (Fields::Unit, _) => "w.null();".to_string(),
             };
-            format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                     fn to_value(&self) -> ::serde::Value {{ {expr} }}\n\
-                 }}"
-            )
+            (name, code)
         }
         Item::Enum { name, variants } => {
+            // Externally tagged: a unit variant is its name as a string;
+            // any other is a one-member object keyed by the name.
             let arms: Vec<String> = variants
                 .iter()
                 .map(|v| {
                     let vn = &v.name;
-                    match &v.fields {
-                        Fields::Unit => {
-                            format!("{name}::{vn} => ::serde::Value::Str(\"{vn}\".to_string()),")
-                        }
-                        Fields::Tuple(1) => format!(
-                            "{name}::{vn}(x0) => ::serde::Value::Object(vec![(\
-                             \"{vn}\".to_string(), ::serde::Serialize::to_value(x0))]),"
+                    let (pattern, inner) = match &v.fields {
+                        Fields::Unit => return format!("{name}::{vn} => w.str(\"{vn}\"),"),
+                        Fields::Tuple(1) => (
+                            "(x0)".to_string(),
+                            "::serde::Serialize::serialize(x0, w);".to_string(),
                         ),
                         Fields::Tuple(n) => {
                             let binds: Vec<String> = (0..*n).map(|k| format!("x{k}")).collect();
-                            let items: Vec<String> = binds
-                                .iter()
-                                .map(|b| format!("::serde::Serialize::to_value({b})"))
-                                .collect();
-                            format!(
-                                "{name}::{vn}({}) => ::serde::Value::Object(vec![(\
-                                 \"{vn}\".to_string(), ::serde::Value::Array(vec![{}]))]),",
-                                binds.join(", "),
-                                items.join(", ")
-                            )
+                            (format!("({})", binds.join(", ")), write_array(&binds))
                         }
                         Fields::Named(fs) => {
-                            let binds =
-                                fs.iter().map(|f| f.name.as_str()).collect::<Vec<_>>().join(", ");
-                            let pairs: Vec<String> = fs
+                            // Bind fields by index so no field name can
+                            // shadow the writer.
+                            let binds: Vec<String> = fs
                                 .iter()
-                                .map(|f| {
-                                    let f = &f.name;
-                                    format!(
-                                        "(\"{f}\".to_string(), ::serde::Serialize::to_value({f}))"
-                                    )
-                                })
+                                .enumerate()
+                                .map(|(k, f)| format!("{}: x{k}", f.name))
                                 .collect();
-                            format!(
-                                "{name}::{vn} {{ {binds} }} => ::serde::Value::Object(vec![(\
-                                 \"{vn}\".to_string(), ::serde::Value::Object(vec![{}]))]),",
-                                pairs.join(", ")
-                            )
+                            let inner = write_object(fs, |k, _| format!("x{k}"));
+                            (format!(" {{ {} }}", binds.join(", ")), inner)
                         }
-                    }
+                    };
+                    format!(
+                        "{name}::{vn}{pattern} => {{\n\
+                             w.begin_object(); w.key(\"{vn}\"); {inner} w.end_object();\n\
+                         }}"
+                    )
                 })
                 .collect();
-            format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                     fn to_value(&self) -> ::serde::Value {{\n\
-                         match self {{ {} }}\n\
-                     }}\n\
-                 }}",
-                arms.join("\n")
-            )
+            (name, format!("match self {{ {} }}", arms.join("\n")))
         }
     };
-    body.parse().expect("serde shim derive: generated Serialize impl must parse")
+    format!(
+        "impl ::serde::Serialize for {name} {{\n\
+             fn serialize(&self, w: &mut ::serde::Writer) {{ {code} }}\n\
+         }}"
+    )
+    .parse()
+    .expect("serde shim derive: generated Serialize impl must parse")
 }
 
 // --- Deserialize -----------------------------------------------------------
@@ -339,7 +336,9 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
                      }}\n\
                  }}\n\
                  impl ::serde::JsonKey for {name} {{\n\
-                     fn to_key(&self) -> String {{ ::serde::JsonKey::to_key(&self.0) }}\n\
+                     fn write_key(&self, w: &mut ::serde::Writer) {{\n\
+                         ::serde::JsonKey::write_key(&self.0, w)\n\
+                     }}\n\
                      fn from_key(s: &str) -> Result<Self, ::serde::DeError> {{\n\
                          Ok({name}(::serde::JsonKey::from_key(s)?))\n\
                      }}\n\

@@ -1,5 +1,6 @@
-//! Offline stand-in for `serde_json`: renders and parses the shim
-//! `serde::Value` tree as standard JSON text.
+//! Offline stand-in for `serde_json`: writes any `Serialize` type as JSON
+//! text through the shim's `serde::Writer`, and parses JSON text into
+//! the shim `serde::Value` tree that `Deserialize` reads.
 //!
 //! Integers round-trip at full 64-bit fidelity: a number without `.`/`e`
 //! parses into `Value::UInt`/`Value::Int`, never through `f64`.
@@ -7,8 +8,8 @@
 //! Both directions are linear in the input: strings are written and
 //! parsed in runs of bytes that need no escaping, never char by char.
 
-use serde::{DeError, Deserialize, Serialize, Value};
-use std::fmt::{self, Write as _};
+use serde::{DeError, Deserialize, Serialize, Value, Writer};
+use std::fmt;
 
 /// Serialization/deserialization error.
 #[derive(Debug, Clone)]
@@ -30,16 +31,16 @@ impl From<DeError> for Error {
 
 /// Render `value` as compact JSON.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&value.to_value(), &mut out, None, 0);
-    Ok(out)
+    let mut w = Writer::compact();
+    value.serialize(&mut w);
+    Ok(w.into_string())
 }
 
 /// Render `value` as human-indented JSON.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&value.to_value(), &mut out, Some(2), 0);
-    Ok(out)
+    let mut w = Writer::pretty();
+    value.serialize(&mut w);
+    Ok(w.into_string())
 }
 
 /// Render `value` as compact JSON bytes.
@@ -63,104 +64,6 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
 pub fn from_slice<T: Deserialize>(bytes: &[u8]) -> Result<T, Error> {
     let s = std::str::from_utf8(bytes).map_err(|e| Error(format!("invalid utf-8: {e}")))?;
     from_str(s)
-}
-
-// --- writer ----------------------------------------------------------------
-
-fn write_value(v: &Value, out: &mut String, indent: Option<usize>, level: usize) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        // Formatting into a `String` cannot fail.
-        Value::UInt(n) => {
-            let _ = write!(out, "{n}");
-        }
-        Value::Int(n) => {
-            let _ = write!(out, "{n}");
-        }
-        Value::Float(f) => {
-            if f.is_finite() {
-                // Keep a decimal point so the value re-parses as a float.
-                let start = out.len();
-                let _ = write!(out, "{f}");
-                if !out[start..].contains(['.', 'e', 'E']) {
-                    out.push_str(".0");
-                }
-            } else {
-                out.push_str("null");
-            }
-        }
-        Value::Str(s) => write_string(s, out),
-        Value::Array(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, level + 1);
-                write_value(item, out, indent, level + 1);
-            }
-            if !items.is_empty() {
-                newline_indent(out, indent, level);
-            }
-            out.push(']');
-        }
-        Value::Object(fields) => {
-            out.push('{');
-            for (i, (k, val)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, level + 1);
-                write_string(k, out);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(val, out, indent, level + 1);
-            }
-            if !fields.is_empty() {
-                newline_indent(out, indent, level);
-            }
-            out.push('}');
-        }
-    }
-}
-
-fn newline_indent(out: &mut String, indent: Option<usize>, level: usize) {
-    if let Some(width) = indent {
-        out.push('\n');
-        for _ in 0..width * level {
-            out.push(' ');
-        }
-    }
-}
-
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    // Every byte that needs escaping is ASCII, so each unescaped run
-    // between two of them ends on a char boundary.
-    let mut run = 0;
-    for (i, b) in s.bytes().enumerate() {
-        if b != b'"' && b != b'\\' && b >= 0x20 {
-            continue;
-        }
-        out.push_str(&s[run..i]);
-        run = i + 1;
-        match b {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            b'\n' => out.push_str("\\n"),
-            b'\r' => out.push_str("\\r"),
-            b'\t' => out.push_str("\\t"),
-            _ => {
-                let _ = write!(out, "\\u{b:04x}");
-            }
-        }
-    }
-    out.push_str(&s[run..]);
-    out.push('"');
 }
 
 // --- parser ----------------------------------------------------------------
