@@ -92,18 +92,13 @@ impl ObjKind {
 
     /// Inverse of [`ObjKind::short`].
     pub fn from_short(s: &str) -> Option<ObjKind> {
-        ObjKind::from_short_bytes(s.as_bytes())
-    }
-
-    /// [`ObjKind::from_short`] over the bytes of a token.
-    pub(crate) fn from_short_bytes(s: &[u8]) -> Option<ObjKind> {
         Some(match s {
-            b"mtx" => ObjKind::Mutex,
-            b"sem" => ObjKind::Semaphore,
-            b"cv" => ObjKind::Condvar,
-            b"rw" => ObjKind::RwLock,
-            b"bar" => ObjKind::Barrier,
-            b"once" => ObjKind::Once,
+            "mtx" => ObjKind::Mutex,
+            "sem" => ObjKind::Semaphore,
+            "cv" => ObjKind::Condvar,
+            "rw" => ObjKind::RwLock,
+            "bar" => ObjKind::Barrier,
+            "once" => ObjKind::Once,
             _ => return None,
         })
     }
@@ -164,14 +159,9 @@ impl fmt::Display for SyncObjId {
 
 /// Parse a `SyncObjId` from its display form (`mtx0`, `sem3`, ...).
 pub fn parse_obj_id(s: &str) -> Option<SyncObjId> {
-    obj_id_from_bytes(s.as_bytes())
-}
-
-/// [`parse_obj_id`] over the bytes of a token.
-pub(crate) fn obj_id_from_bytes(s: &[u8]) -> Option<SyncObjId> {
-    let split = s.iter().position(u8::is_ascii_digit)?;
-    let kind = ObjKind::from_short_bytes(&s[..split])?;
-    let index = u32::try_from(crate::time::parse_digits(&s[split..])?).ok()?;
+    let split = s.find(|c: char| c.is_ascii_digit())?;
+    let kind = ObjKind::from_short(&s[..split])?;
+    let index = s[split..].parse().ok()?;
     Some(SyncObjId { kind, index })
 }
 

@@ -97,18 +97,9 @@ impl SourceMap {
     /// log file lists them: the addresses are kept exactly, and where one
     /// repeats, its last entry wins. The next interned address follows
     /// the highest one, saturating at `u64::MAX`.
-    pub fn from_entries(mut entries: Vec<(CodeAddr, SourceLoc)>) -> SourceMap {
+    pub fn from_entries(entries: Vec<(CodeAddr, SourceLoc)>) -> SourceMap {
         let next_addr = entries.iter().fold(0, |next, (a, _)| next.max(a.0.saturating_add(4)));
-        // A stable sort keeps repeats in input order; the dedup then keeps
-        // the last of each run.
-        entries.sort_by_key(|&(a, _)| a);
-        entries.dedup_by(|later, earlier| {
-            let repeat = later.0 == earlier.0;
-            if repeat {
-                std::mem::swap(later, earlier);
-            }
-            repeat
-        });
+        // `BTreeMap`'s bulk build keeps the last of equal keys.
         SourceMap { locs: std::sync::Arc::new(entries.into_iter().collect()), next_addr }
     }
 

@@ -21,27 +21,23 @@
 //! lossless (a property test asserts this).
 //!
 //! Parsing is one pass over the text, and a record line allocates
-//! nothing unless it fails: its tokens are cut in one scan of its bytes,
-//! `key=value` fields land in fixed per-key slots (a later duplicate
-//! wins, an unknown key is ignored), and numbers are read from the bytes
-//! with checked arithmetic, so an out-of-range value is an error rather
-//! than a panic or a wrapped number. The `# src` entries are collected
-//! and built into the source map once, at the end.
+//! nothing unless it fails: its `key=value` fields land in fixed per-key
+//! slots (a later duplicate wins, an unknown key is ignored), and the
+//! `# src` entries are collected and built into the source map once, at
+//! the end.
 //!
 //! Tokens are separated by whitespace exactly as
 //! [`str::split_whitespace`] separates them: ASCII space, tab, line feed,
 //! vertical tab, form feed and carriage return, and any other Unicode
-//! whitespace such as NBSP, U+2003 or U+3000. A line of ASCII bytes only,
-//! which is what the Recorder writes, is scanned byte by byte; a line
-//! holding any other byte is split by `split_whitespace` itself.
+//! whitespace such as NBSP, U+2003 or U+3000.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::diag::{DiagCode, Diagnostic, Pos};
 use crate::event::{EventKind, EventResult, Phase};
-use crate::ids::{obj_id_from_bytes, SyncObjId, ThreadId};
+use crate::ids::{parse_obj_id, SyncObjId, ThreadId};
 use crate::source::{CodeAddr, SourceLoc, SourceMap};
-use crate::time::{parse_digits, parse_time, time_from_bytes, Duration};
+use crate::time::{parse_time, Duration};
 use crate::trace::{LogHeader, TraceLog, TraceRecord};
 use crate::VppbError;
 use std::fmt::Write as _;
@@ -211,8 +207,9 @@ fn parse_header_line(
     src: &mut Vec<(CodeAddr, SourceLoc)>,
 ) -> Result<(), ParseFail> {
     let bad = |msg: String| (DiagCode::BadHeaderField, msg);
-    let (key, val) = rest.split_once(' ').unwrap_or((rest, ""));
-    let val = val.trim();
+    let mut it = rest.splitn(2, ' ');
+    let key = it.next().unwrap_or("");
+    let val = it.next().unwrap_or("").trim();
     match key {
         "vppb-log" => {}
         "program" => h.program = val.to_string(),
@@ -224,13 +221,12 @@ fn parse_header_line(
         }
         "thread" => {
             let (t, f) = val.split_once(' ').ok_or_else(|| bad("bad thread header".into()))?;
-            h.thread_start_fn.insert(parse_thread(t.as_bytes())?, f.to_string());
+            h.thread_start_fn.insert(parse_thread(t)?, f.to_string());
         }
         "src" => {
             // `# src 0x1000 main.c:12 main`
             let mut parts = val.splitn(3, ' ');
-            let addr = parts.next().ok_or_else(|| bad("missing src addr".into()))?;
-            let addr = parse_addr(addr.as_bytes())?;
+            let addr = parse_addr(parts.next().ok_or_else(|| bad("missing src addr".into()))?)?;
             let fileline = parts.next().ok_or_else(|| bad("missing src file:line".into()))?;
             let func = parts.next().ok_or_else(|| bad("missing src function".into()))?;
             let (file, line) =
@@ -243,98 +239,18 @@ fn parse_header_line(
     Ok(())
 }
 
-fn parse_thread(s: &[u8]) -> Result<ThreadId, ParseFail> {
-    match s {
-        [b'T', n @ ..] => parse_u32(n).map(ThreadId),
-        _ => None,
-    }
-    .ok_or_else(|| (DiagCode::BadThreadId, format!("bad thread id {:?}", text(s))))
+fn parse_thread(s: &str) -> Result<ThreadId, ParseFail> {
+    s.strip_prefix('T')
+        .and_then(|n| n.parse().ok())
+        .map(ThreadId)
+        .ok_or_else(|| (DiagCode::BadThreadId, format!("bad thread id {s:?}")))
 }
 
-fn parse_addr(s: &[u8]) -> Result<CodeAddr, ParseFail> {
-    match s {
-        [b'0', b'x', h @ ..] => parse_hex(h).map(CodeAddr),
-        _ => None,
-    }
-    .ok_or_else(|| (DiagCode::BadToken, format!("bad address {:?}", text(s))))
-}
-
-/// A token as text, for a message. Tokens are cut at ASCII whitespace or
-/// by `split_whitespace`, so they are always whole UTF-8.
-fn text(token: &[u8]) -> std::borrow::Cow<'_, str> {
-    String::from_utf8_lossy(token)
-}
-
-/// An unsigned decimal as `str::parse` reads one: an optional `+`, then
-/// one or more ASCII digits, without overflow.
-fn parse_u64(s: &[u8]) -> Option<u64> {
-    parse_digits(s.strip_prefix(b"+").unwrap_or(s))
-}
-
-/// A signed decimal as `str::parse::<i32>` reads one.
-fn parse_i32(s: &[u8]) -> Option<i32> {
-    match s.strip_prefix(b"-") {
-        Some(mag) => i32::try_from(-i64::try_from(parse_digits(mag)?).ok()?).ok(),
-        None => i32::try_from(parse_u64(s)?).ok(),
-    }
-}
-
-fn parse_u32(s: &[u8]) -> Option<u32> {
-    u32::try_from(parse_u64(s)?).ok()
-}
-
-/// Hex digits (either case) as `u64::from_str_radix(_, 16)` reads them:
-/// an optional `+`, then at least one digit, without overflow.
-fn parse_hex(s: &[u8]) -> Option<u64> {
-    let digits = s.strip_prefix(b"+").unwrap_or(s);
-    if digits.is_empty() {
-        return None;
-    }
-    digits.iter().try_fold(0u64, |n, &b| {
-        let d = match b {
-            b'0'..=b'9' => b - b'0',
-            b'a'..=b'f' => b - b'a' + 10,
-            b'A'..=b'F' => b - b'A' + 10,
-            _ => return None,
-        };
-        n.checked_mul(16)?.checked_add(d as u64)
-    })
-}
-
-/// Bit `b` is set for each ASCII byte `b` that [`char::is_whitespace`]
-/// accepts: tab, line feed, vertical tab, form feed, carriage return and
-/// space.
-const ASCII_SPACE: u64 = 1 << b'\t' | 1 << b'\n' | 1 << 0x0b | 1 << 0x0c | 1 << b'\r' | 1 << b' ';
-
-fn is_ascii_space(b: u8) -> bool {
-    b <= b' ' && ASCII_SPACE >> b & 1 != 0
-}
-
-/// The tokens of an all-ASCII line: the runs of bytes between ASCII
-/// whitespace, which is how [`str::split_whitespace`] splits such a line.
-struct AsciiTokens<'a>(&'a [u8]);
-
-impl<'a> Iterator for AsciiTokens<'a> {
-    type Item = &'a [u8];
-
-    fn next(&mut self) -> Option<&'a [u8]> {
-        let s = self.0;
-        let mut at = 0;
-        while at < s.len() && is_ascii_space(s[at]) {
-            at += 1;
-        }
-        if at == s.len() {
-            return None;
-        }
-        let start = at;
-        // Token bytes are almost always printable, which one compare
-        // settles.
-        while at < s.len() && (s[at] > b' ' || !is_ascii_space(s[at])) {
-            at += 1;
-        }
-        self.0 = &s[at..];
-        Some(&s[start..at])
-    }
+fn parse_addr(s: &str) -> Result<CodeAddr, ParseFail> {
+    s.strip_prefix("0x")
+        .and_then(|h| u64::from_str_radix(h, 16).ok())
+        .map(CodeAddr)
+        .ok_or_else(|| (DiagCode::BadToken, format!("bad address {s:?}")))
 }
 
 /// The `key=value` fields of a record line, one slot per key a routine
@@ -342,44 +258,43 @@ impl<'a> Iterator for AsciiTokens<'a> {
 /// other key is ignored.
 #[derive(Default)]
 struct Fields<'a> {
-    func: Option<&'a [u8]>,
-    bound: Option<&'a [u8]>,
-    target: Option<&'a [u8]>,
-    prio: Option<&'a [u8]>,
-    n: Option<&'a [u8]>,
-    latency: Option<&'a [u8]>,
-    obj: Option<&'a [u8]>,
-    cond: Option<&'a [u8]>,
-    mutex: Option<&'a [u8]>,
-    timeout: Option<&'a [u8]>,
-    parties: Option<&'a [u8]>,
-    init: Option<&'a [u8]>,
-    created: Option<&'a [u8]>,
-    joined: Option<&'a [u8]>,
-    acquired: Option<&'a [u8]>,
-    timedout: Option<&'a [u8]>,
+    func: Option<&'a str>,
+    bound: Option<&'a str>,
+    target: Option<&'a str>,
+    prio: Option<&'a str>,
+    n: Option<&'a str>,
+    latency: Option<&'a str>,
+    obj: Option<&'a str>,
+    cond: Option<&'a str>,
+    mutex: Option<&'a str>,
+    timeout: Option<&'a str>,
+    parties: Option<&'a str>,
+    init: Option<&'a str>,
+    created: Option<&'a str>,
+    joined: Option<&'a str>,
+    acquired: Option<&'a str>,
+    timedout: Option<&'a str>,
 }
 
 impl<'a> Fields<'a> {
-    fn set(&mut self, key: &[u8], value: &'a [u8]) {
-        // Most recorded fields are `obj=`, so it is tried first.
+    fn set(&mut self, key: &str, value: &'a str) {
         let slot = match key {
-            b"obj" => &mut self.obj,
-            b"cond" => &mut self.cond,
-            b"mutex" => &mut self.mutex,
-            b"func" => &mut self.func,
-            b"bound" => &mut self.bound,
-            b"created" => &mut self.created,
-            b"target" => &mut self.target,
-            b"joined" => &mut self.joined,
-            b"acquired" => &mut self.acquired,
-            b"timeout" => &mut self.timeout,
-            b"timedout" => &mut self.timedout,
-            b"parties" => &mut self.parties,
-            b"init" => &mut self.init,
-            b"prio" => &mut self.prio,
-            b"n" => &mut self.n,
-            b"latency" => &mut self.latency,
+            "func" => &mut self.func,
+            "bound" => &mut self.bound,
+            "target" => &mut self.target,
+            "prio" => &mut self.prio,
+            "n" => &mut self.n,
+            "latency" => &mut self.latency,
+            "obj" => &mut self.obj,
+            "cond" => &mut self.cond,
+            "mutex" => &mut self.mutex,
+            "timeout" => &mut self.timeout,
+            "parties" => &mut self.parties,
+            "init" => &mut self.init,
+            "created" => &mut self.created,
+            "joined" => &mut self.joined,
+            "acquired" => &mut self.acquired,
+            "timedout" => &mut self.timedout,
             _ => return,
         };
         *slot = Some(value);
@@ -390,126 +305,99 @@ fn missing(what: &str) -> ParseFail {
     (DiagCode::MissingField, format!("missing {what}"))
 }
 
-fn obj(value: Option<&[u8]>, key: &str) -> Result<SyncObjId, ParseFail> {
+fn obj(value: Option<&str>, key: &str) -> Result<SyncObjId, ParseFail> {
     value
-        .and_then(obj_id_from_bytes)
+        .and_then(parse_obj_id)
         .ok_or_else(|| (DiagCode::MissingField, format!("missing/bad {key}=")))
 }
 
-fn target(value: Option<&[u8]>) -> Result<ThreadId, ParseFail> {
+fn target(value: Option<&str>) -> Result<ThreadId, ParseFail> {
     parse_thread(value.ok_or_else(|| missing("target="))?)
 }
 
 /// A numeric field: absent or unparseable reads as missing.
-fn number<T>(
-    value: Option<&[u8]>,
-    parse: impl FnOnce(&[u8]) -> Option<T>,
-    what: &str,
-) -> Result<T, ParseFail> {
-    value.and_then(parse).ok_or_else(|| missing(what))
+fn number<T: std::str::FromStr>(value: Option<&str>, what: &str) -> Result<T, ParseFail> {
+    value.and_then(|v| v.parse().ok()).ok_or_else(|| missing(what))
 }
 
-/// Parse one record line, allocating nothing unless it fails. An
-/// all-ASCII line, which is what the Recorder writes, is cut into tokens
-/// by one byte scan; a line holding any other byte is split by
-/// [`str::split_whitespace`], so Unicode whitespace still separates its
-/// tokens.
+/// Parse one record line, allocating nothing unless it fails. Defects
+/// are reported in a fixed order: the first of time, thread and phase
+/// that is bad; then a bad token or `@address`, in line order; then an
+/// unknown routine; then the first missing or bad field the routine
+/// reads; then a bad result thread.
 fn parse_record_line(line: &str) -> Result<TraceRecord, ParseFail> {
-    if line.is_ascii() {
-        parse_tokens(line, AsciiTokens(line.as_bytes()))
-    } else {
-        parse_tokens(line, line.split_whitespace().map(str::as_bytes))
-    }
-}
-
-/// Parse a record line from its tokens. Defects are reported in a fixed
-/// order: the first of time, thread and phase that is bad; then a bad
-/// token or `@address`, in line order; then an unknown routine; then the
-/// first missing or bad field the routine reads; then a bad result
-/// thread.
-fn parse_tokens<'a>(
-    line: &str,
-    mut tokens: impl Iterator<Item = &'a [u8]>,
-) -> Result<TraceRecord, ParseFail> {
-    let time = time_from_bytes(tokens.next().ok_or_else(|| missing("time"))?)
+    let mut tokens = line.split_whitespace();
+    let time = parse_time(tokens.next().ok_or_else(|| missing("time"))?)
         .ok_or_else(|| (DiagCode::BadTime, format!("bad time in {line:?}")))?;
     let thread = parse_thread(tokens.next().ok_or_else(|| missing("thread"))?)?;
     let phase = match tokens.next().ok_or_else(|| missing("phase"))? {
-        b"B" => Phase::Before,
-        b"A" => Phase::After,
-        b"M" => Phase::Mark,
-        p => return Err((DiagCode::BadPhase, format!("bad phase {:?}", text(p)))),
+        "B" => Phase::Before,
+        "A" => Phase::After,
+        "M" => Phase::Mark,
+        p => return Err((DiagCode::BadPhase, format!("bad phase {p:?}"))),
     };
     let name = tokens.next().ok_or_else(|| missing("routine name"))?;
 
     let mut f = Fields::default();
     let mut caller = CodeAddr::NULL;
     for tok in tokens {
-        if let Some(addr) = tok.strip_prefix(b"@") {
+        if let Some(addr) = tok.strip_prefix('@') {
             caller = parse_addr(addr)?;
-        } else if let Some(eq) = tok.iter().position(|&b| b == b'=') {
-            f.set(&tok[..eq], &tok[eq + 1..]);
+        } else if let Some((k, v)) = tok.split_once('=') {
+            f.set(k, v);
         } else {
-            return Err((DiagCode::BadToken, format!("unparseable token {:?}", text(tok))));
+            return Err((DiagCode::BadToken, format!("unparseable token {tok:?}")));
         }
     }
 
     use EventKind::*;
-    // Arms are tried in order, so the routines recorded most often (lock
-    // traffic) come first.
     let kind = match name {
-        b"mutex_lock" => MutexLock { obj: obj(f.obj, "obj")? },
-        b"mutex_unlock" => MutexUnlock { obj: obj(f.obj, "obj")? },
-        b"sema_wait" => SemWait { obj: obj(f.obj, "obj")? },
-        b"sema_post" => SemPost { obj: obj(f.obj, "obj")? },
-        b"cond_wait" => CondWait { cond: obj(f.cond, "cond")?, mutex: obj(f.mutex, "mutex")? },
-        b"cond_signal" => CondSignal { cond: obj(f.cond, "cond")? },
-        b"cond_broadcast" => CondBroadcast { cond: obj(f.cond, "cond")? },
-        b"cond_timedwait" => CondTimedWait {
-            cond: obj(f.cond, "cond")?,
-            mutex: obj(f.mutex, "mutex")?,
-            timeout: Duration(number(f.timeout, parse_u64, "timeout=")?),
-        },
-        b"thr_create" => ThrCreate {
-            bound: f.bound == Some(b"1"),
-            func: parse_addr(f.func.ok_or_else(|| missing("func="))?)?,
-        },
-        b"thr_join" => {
-            let t = f.target.ok_or_else(|| missing("target="))?;
-            ThrJoin { target: if t == b"*" { None } else { Some(parse_thread(t)?) } }
-        }
-        b"thread_start" => {
+        "start_collect" => StartCollect,
+        "end_collect" => EndCollect,
+        "thread_start" => {
             ThreadStart { func: parse_addr(f.func.ok_or_else(|| missing("func="))?)? }
         }
-        b"thr_exit" => ThrExit,
-        b"start_collect" => StartCollect,
-        b"end_collect" => EndCollect,
-        b"barrier_wait" => BarrierWait {
-            obj: obj(f.obj, "obj")?,
-            parties: number(f.parties, parse_u32, "parties=")?,
+        "thr_create" => ThrCreate {
+            bound: f.bound == Some("1"),
+            func: parse_addr(f.func.ok_or_else(|| missing("func="))?)?,
         },
-        b"once_call" => OnceCall {
-            obj: obj(f.obj, "obj")?,
-            init: Duration(number(f.init, parse_u64, "init=")?),
+        "thr_join" => {
+            let t = f.target.ok_or_else(|| missing("target="))?;
+            ThrJoin { target: if t == "*" { None } else { Some(parse_thread(t)?) } }
+        }
+        "thr_exit" => ThrExit,
+        "thr_yield" => ThrYield,
+        "thr_setprio" => ThrSetPrio { target: target(f.target)?, prio: number(f.prio, "prio=")? },
+        "thr_setconcurrency" => ThrSetConcurrency { n: number(f.n, "n=")? },
+        "thr_suspend" => ThrSuspend { target: target(f.target)? },
+        "io_wait" => IoWait { latency: Duration(number(f.latency, "latency=")?) },
+        "thr_continue" => ThrContinue { target: target(f.target)? },
+        "mutex_lock" => MutexLock { obj: obj(f.obj, "obj")? },
+        "mutex_trylock" => MutexTryLock { obj: obj(f.obj, "obj")? },
+        "mutex_unlock" => MutexUnlock { obj: obj(f.obj, "obj")? },
+        "sema_wait" => SemWait { obj: obj(f.obj, "obj")? },
+        "sema_trywait" => SemTryWait { obj: obj(f.obj, "obj")? },
+        "sema_post" => SemPost { obj: obj(f.obj, "obj")? },
+        "cond_wait" => CondWait { cond: obj(f.cond, "cond")?, mutex: obj(f.mutex, "mutex")? },
+        "cond_timedwait" => CondTimedWait {
+            cond: obj(f.cond, "cond")?,
+            mutex: obj(f.mutex, "mutex")?,
+            timeout: Duration(number(f.timeout, "timeout=")?),
         },
-        b"mutex_trylock" => MutexTryLock { obj: obj(f.obj, "obj")? },
-        b"sema_trywait" => SemTryWait { obj: obj(f.obj, "obj")? },
-        b"rw_rdlock" => RwRdLock { obj: obj(f.obj, "obj")? },
-        b"rw_wrlock" => RwWrLock { obj: obj(f.obj, "obj")? },
-        b"rw_tryrdlock" => RwTryRdLock { obj: obj(f.obj, "obj")? },
-        b"rw_trywrlock" => RwTryWrLock { obj: obj(f.obj, "obj")? },
-        b"rw_unlock" => RwUnlock { obj: obj(f.obj, "obj")? },
-        b"thr_yield" => ThrYield,
-        b"thr_setprio" => {
-            ThrSetPrio { target: target(f.target)?, prio: number(f.prio, parse_i32, "prio=")? }
+        "cond_signal" => CondSignal { cond: obj(f.cond, "cond")? },
+        "cond_broadcast" => CondBroadcast { cond: obj(f.cond, "cond")? },
+        "rw_rdlock" => RwRdLock { obj: obj(f.obj, "obj")? },
+        "rw_wrlock" => RwWrLock { obj: obj(f.obj, "obj")? },
+        "rw_tryrdlock" => RwTryRdLock { obj: obj(f.obj, "obj")? },
+        "rw_trywrlock" => RwTryWrLock { obj: obj(f.obj, "obj")? },
+        "rw_unlock" => RwUnlock { obj: obj(f.obj, "obj")? },
+        "barrier_wait" => {
+            BarrierWait { obj: obj(f.obj, "obj")?, parties: number(f.parties, "parties=")? }
         }
-        b"thr_setconcurrency" => ThrSetConcurrency { n: number(f.n, parse_u32, "n=")? },
-        b"thr_suspend" => ThrSuspend { target: target(f.target)? },
-        b"thr_continue" => ThrContinue { target: target(f.target)? },
-        b"io_wait" => IoWait { latency: Duration(number(f.latency, parse_u64, "latency=")?) },
-        other => {
-            return Err((DiagCode::UnknownRoutine, format!("unknown routine {:?}", text(other))))
+        "once_call" => {
+            OnceCall { obj: obj(f.obj, "obj")?, init: Duration(number(f.init, "init=")?) }
         }
+        other => return Err((DiagCode::UnknownRoutine, format!("unknown routine {other:?}"))),
     };
 
     let result = if let Some(t) = f.created {
@@ -517,9 +405,9 @@ fn parse_tokens<'a>(
     } else if let Some(t) = f.joined {
         EventResult::Joined(parse_thread(t)?)
     } else if let Some(b) = f.acquired {
-        EventResult::Acquired(b == b"1")
+        EventResult::Acquired(b == "1")
     } else if let Some(b) = f.timedout {
-        EventResult::TimedOut(b == b"1")
+        EventResult::TimedOut(b == "1")
     } else {
         EventResult::None
     };
@@ -527,19 +415,19 @@ fn parse_tokens<'a>(
     Ok(TraceRecord { seq: 0, time, thread, phase, kind, result, caller })
 }
 
-/// The map-based parser the one-pass parser replaced, kept as the
-/// reference the tests check it against: `split_whitespace` tokens, one
-/// `BTreeMap` of `key=value` fields per line, `str::parse` numbers, and
-/// one source-map insert per `# src` line. Its only change is checked
-/// time arithmetic, so an overflowing time is an error here too.
+/// The map-based parser the slot-based one replaced, kept as the
+/// reference the tests check it against: one `BTreeMap` of `key=value`
+/// fields per record line and one source-map insert per `# src` line.
+/// It shares the token parsers (`parse_time`, `parse_thread`,
+/// `parse_addr`, `parse_obj_id`) with the parser under test.
 #[cfg(test)]
 mod reference {
-    use super::{Diagnostic, ParseFail};
+    use super::{parse_addr, parse_thread, Diagnostic, ParseFail};
     use crate::diag::{DiagCode, Pos};
     use crate::event::{EventKind, EventResult, Phase};
-    use crate::ids::{ObjKind, SyncObjId, ThreadId};
+    use crate::ids::{parse_obj_id, SyncObjId, ThreadId};
     use crate::source::{CodeAddr, SourceLoc};
-    use crate::time::{Duration, Time, NANOS_PER_MICRO, NANOS_PER_SEC};
+    use crate::time::{parse_time, Duration};
     use crate::trace::{LogHeader, TraceLog, TraceRecord};
     use std::collections::BTreeMap;
 
@@ -610,37 +498,6 @@ mod reference {
             _ => {}
         }
         Ok(())
-    }
-
-    fn parse_time(s: &str) -> Option<Time> {
-        let (secs, frac) = s.split_once('.')?;
-        let secs: u64 = secs.parse().ok()?;
-        if frac.len() != 6 || !frac.bytes().all(|b| b.is_ascii_digit()) {
-            return None;
-        }
-        let micros: u64 = frac.parse().ok()?;
-        secs.checked_mul(NANOS_PER_SEC)?.checked_add(micros * NANOS_PER_MICRO).map(Time)
-    }
-
-    fn parse_thread(s: &str) -> Result<ThreadId, ParseFail> {
-        s.strip_prefix('T')
-            .and_then(|n| n.parse().ok())
-            .map(ThreadId)
-            .ok_or_else(|| (DiagCode::BadThreadId, format!("bad thread id {s:?}")))
-    }
-
-    fn parse_addr(s: &str) -> Result<CodeAddr, ParseFail> {
-        s.strip_prefix("0x")
-            .and_then(|h| u64::from_str_radix(h, 16).ok())
-            .map(CodeAddr)
-            .ok_or_else(|| (DiagCode::BadToken, format!("bad address {s:?}")))
-    }
-
-    fn parse_obj_id(s: &str) -> Option<SyncObjId> {
-        let split = s.find(|c: char| c.is_ascii_digit())?;
-        let kind = ObjKind::from_short(&s[..split])?;
-        let index = s[split..].parse().ok()?;
-        Some(SyncObjId { kind, index })
     }
 
     fn parse_record_line(line: &str) -> Result<TraceRecord, ParseFail> {

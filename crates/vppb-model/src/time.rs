@@ -260,38 +260,16 @@ impl fmt::Display for Duration {
     }
 }
 
-/// Parse a `Time` from the `sec.micros` text-log format: whole seconds
-/// (an optional `+`, then digits), a `.`, and exactly six digits of
-/// microseconds. A time past `Time::MAX` is `None`, not a wrapped value.
+/// Parse a `Time` from the `sec.micros` text-log format. A time past
+/// `Time::MAX` is `None`, not a wrapped value.
 pub fn parse_time(s: &str) -> Option<Time> {
-    time_from_bytes(s.as_bytes())
-}
-
-/// [`parse_time`] over the bytes of a token.
-pub(crate) fn time_from_bytes(s: &[u8]) -> Option<Time> {
-    let dot = s.iter().position(|&b| b == b'.')?;
-    let (secs, frac) = (&s[..dot], &s[dot + 1..]);
-    let secs = parse_digits(secs.strip_prefix(b"+").unwrap_or(secs))?;
-    if frac.len() != 6 {
+    let (secs, frac) = s.split_once('.')?;
+    let secs: u64 = secs.parse().ok()?;
+    if frac.len() != 6 || !frac.bytes().all(|b| b.is_ascii_digit()) {
         return None;
     }
-    let micros = parse_digits(frac)?;
+    let micros: u64 = frac.parse().ok()?;
     secs.checked_mul(NANOS_PER_SEC)?.checked_add(micros * NANOS_PER_MICRO).map(Time)
-}
-
-/// One or more ASCII digits as a decimal `u64`; `None` on any other byte,
-/// on an empty input, or on overflow.
-pub(crate) fn parse_digits(s: &[u8]) -> Option<u64> {
-    if s.is_empty() {
-        return None;
-    }
-    s.iter().try_fold(0u64, |n, &b| {
-        let d = b.wrapping_sub(b'0');
-        if d > 9 {
-            return None;
-        }
-        n.checked_mul(10)?.checked_add(d as u64)
-    })
 }
 
 #[cfg(test)]
