@@ -4,10 +4,11 @@
 //! sub-buffers, split check mutexes): predicted 7.75×, real 7.90×,
 //! prediction error 1.9 %.
 
-use crate::harness::{predicted_speedup, real_speedup, record_app, RealStats};
+use crate::harness::{real_speedup, RealStats};
 use std::fmt::Write as _;
 use vppb_model::{SimParams, VppbError};
-use vppb_sim::simulate;
+use vppb_recorder::{record, RecordOptions};
+use vppb_sim::{analyze, predict, Prediction};
 use vppb_workloads::prodcons;
 
 #[derive(Debug, Clone)]
@@ -30,29 +31,31 @@ impl CaseStudy {
     }
 }
 
+/// Record `app` on the uni-processor and predict it on 8 CPUs.
+fn predict_8(app: &vppb_threads::App) -> Result<Prediction, VppbError> {
+    let log = record(app, &RecordOptions::default())?.log;
+    predict(&analyze(&log)?, &log, &SimParams::cpus(8))
+}
+
 pub fn compute(scale: f64) -> Result<CaseStudy, VppbError> {
     // --- naive program -----------------------------------------------------
-    let naive = prodcons::naive(scale);
-    let rec = record_app(&naive)?;
-    let naive_predicted = predicted_speedup(&rec.log, 8)?;
+    let naive = predict_8(&prodcons::naive(scale))?;
 
     // Diagnose through the simulated trace, as the Visualizer user does:
     // the contention report names the object all the blocking happens on.
-    let sim = simulate(&rec.log, &SimParams::cpus(8))?;
-    let stats = vppb_viz::compute_stats(&sim.trace);
+    let stats = vppb_viz::compute_stats(&naive.run.trace);
     let hot = stats.hottest_object().expect("the naive program has a bottleneck");
     debug_assert_eq!(hot.object, vppb_model::SyncObjId::mutex(0));
     let blocked_count = hot.threads_blocked as usize;
 
     // --- improved program ---------------------------------------------------
     let improved = prodcons::improved(scale);
-    let rec2 = record_app(&improved)?;
-    let improved_predicted = predicted_speedup(&rec2.log, 8)?;
+    let improved_predicted = predict_8(&improved)?.speedup();
     let improved_1 = prodcons::improved(scale); // same program; 1-CPU baseline
     let improved_real = real_speedup(&improved_1, &improved, 8)?;
 
     Ok(CaseStudy {
-        naive_predicted,
+        naive_predicted: naive.speedup(),
         improved_predicted,
         improved_real,
         threads_blocked_on_hot_mutex: blocked_count,

@@ -1,12 +1,9 @@
-//! Shared experiment plumbing: ground-truth runs with run-to-run jitter,
-//! recording, and prediction — the paper's §4 methodology.
+//! Shared experiment plumbing: ground-truth runs with run-to-run jitter
+//! and the paper's error metric — the §4 methodology. Predictions come
+//! from `vppb_sim::predict`.
 
 use vppb_machine::{run, JitterModel, NullHooks, RunOptions};
-use vppb_model::{
-    AuditReport, LwpPolicy, MachineConfig, SchedMetrics, SimParams, Time, TraceLog, VppbError,
-};
-use vppb_recorder::{record, RecordOptions, Recording};
-use vppb_sim::{analyze, simulate_plan, simulate_plan_metrics};
+use vppb_model::{LwpPolicy, MachineConfig, Time, VppbError};
 use vppb_threads::App;
 
 /// Per-segment jitter amplitude for "real" executions.
@@ -71,34 +68,6 @@ fn median(xs: &[f64]) -> f64 {
     v[v.len() / 2]
 }
 
-/// Record `app` on the uni-processor (deterministic, no jitter — the
-/// paper's monitored run).
-pub fn record_app(app: &App) -> Result<Recording, VppbError> {
-    record(app, &RecordOptions::default())
-}
-
-/// Predicted speed-up from a log, Table-1 style: simulated 1-CPU wall over
-/// simulated N-CPU wall.
-pub fn predicted_speedup(log: &TraceLog, cpus: u32) -> Result<f64, VppbError> {
-    let plan = analyze(log)?;
-    let uni = simulate_plan(&plan, log, &SimParams::cpus(1))?;
-    let multi = simulate_plan(&plan, log, &SimParams::cpus(cpus))?;
-    Ok(uni.wall_time.nanos() as f64 / multi.wall_time.nanos() as f64)
-}
-
-/// Like [`predicted_speedup`], additionally returning the N-CPU replay's
-/// scheduling metrics and conservation audit (Table 1 rows carry these).
-pub fn predicted_speedup_metrics(
-    log: &TraceLog,
-    cpus: u32,
-) -> Result<(f64, SchedMetrics, AuditReport), VppbError> {
-    let plan = analyze(log)?;
-    let uni = simulate_plan(&plan, log, &SimParams::cpus(1))?;
-    let (multi, metrics) = simulate_plan_metrics(&plan, log, &SimParams::cpus(cpus))?;
-    let speedup = uni.wall_time.nanos() as f64 / multi.wall_time.nanos() as f64;
-    Ok((speedup, metrics, multi.audit))
-}
-
 /// The paper's error metric: `((real) - (predicted)) / (real)`.
 pub fn prediction_error(real: f64, predicted: f64) -> f64 {
     (real - predicted) / real
@@ -107,6 +76,9 @@ pub fn prediction_error(real: f64, predicted: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vppb_model::SimParams;
+    use vppb_recorder::{record, RecordOptions};
+    use vppb_sim::{analyze, predict};
     use vppb_threads::AppBuilder;
 
     fn toy(threads: u64) -> App {
@@ -131,8 +103,9 @@ mod tests {
 
     #[test]
     fn prediction_pipeline_produces_small_error() {
-        let rec = record_app(&toy(4)).unwrap();
-        let pred = predicted_speedup(&rec.log, 4).unwrap();
+        let rec = record(&toy(4), &RecordOptions::default()).unwrap();
+        let plan = analyze(&rec.log).unwrap();
+        let pred = predict(&plan, &rec.log, &SimParams::cpus(4)).unwrap().speedup();
         let real = real_speedup(&toy(1), &toy(4), 4).unwrap();
         let err = prediction_error(real.median, pred).abs();
         assert!(err < 0.05, "err = {err}");

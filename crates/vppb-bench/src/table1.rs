@@ -1,14 +1,13 @@
 //! Experiment TAB1: regenerate Table 1 — measured and predicted speed-ups
 //! for the five validation programs on 2, 4 and 8 processors.
 
-use crate::harness::{
-    predicted_speedup, predicted_speedup_metrics, prediction_error, real_speedup, record_app,
-    RealStats,
-};
+use crate::harness::{prediction_error, real_speedup, RealStats};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Mutex;
-use vppb_model::{AuditReport, SchedMetrics, VppbError};
+use vppb_model::{AuditReport, SchedMetrics, SimParams, VppbError};
+use vppb_recorder::{record, RecordOptions};
+use vppb_sim::{analyze, predict};
 use vppb_workloads::{splash2_suite, KernelParams};
 
 pub const CPU_COUNTS: [u32; 3] = [2, 4, 8];
@@ -85,21 +84,18 @@ fn compute_row(spec: &vppb_workloads::WorkloadSpec, scale: f64) -> Result<Row, V
         // SPLASH-2 creates one thread per processor: one log per setup.
         let app_p = (spec.build)(KernelParams::scaled(cpus, scale));
         let real = real_speedup(&app_1, &app_p, cpus)?;
-        let rec = record_app(&app_p)?;
+        let rec = record(&app_p, &RecordOptions::default())?;
+        let prediction = predict(&analyze(&rec.log)?, &rec.log, &SimParams::cpus(cpus))?;
         // The largest configuration also reports its scheduling metrics
         // and audit; the smaller cells only need the speed-up.
-        let predicted = if i == last {
-            let (s, m, a) = predicted_speedup_metrics(&rec.log, cpus)?;
-            metrics = m;
-            audit = a;
-            s
-        } else {
-            predicted_speedup(&rec.log, cpus)?
-        };
+        if i == last {
+            metrics = prediction.metrics.clone();
+            audit = prediction.run.audit.clone();
+        }
         cells.push(Cell {
             cpus,
             real,
-            predicted,
+            predicted: prediction.speedup(),
             paper_real: spec.paper_real[i].1,
             paper_predicted: spec.paper_predicted[i].1,
         });

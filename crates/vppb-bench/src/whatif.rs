@@ -1,11 +1,11 @@
 //! Experiment WHATIF: ablations of the Simulator's design choices called
 //! out in DESIGN.md §5, plus the §3.2 what-if parameter sweeps.
 
-use crate::harness::{predicted_speedup, real_speedup, record_app};
+use crate::harness::real_speedup;
 use std::fmt::Write as _;
 use vppb_model::{DispatchTable, Duration, SimParams, Time, VppbError};
 use vppb_recorder::{record, RecordOptions};
-use vppb_sim::{analyze, simulate, simulate_plan};
+use vppb_sim::{analyze, predict, reference_params, simulate, simulate_plan, speedup};
 use vppb_threads::AppBuilder;
 use vppb_workloads::{splash, KernelParams};
 
@@ -22,19 +22,17 @@ pub fn barrier_ablation(scale: f64) -> Result<BarrierAblation, VppbError> {
     let app1 = splash::ocean(KernelParams::scaled(1, scale));
     let app8 = splash::ocean(KernelParams::scaled(8, scale));
     let real = real_speedup(&app1, &app8, 8)?.median;
-    let rec = record_app(&app8)?;
-    let with_model = predicted_speedup(&rec.log, 8)?;
+    let rec = record(&app8, &RecordOptions::default())?;
     let plan = analyze(&rec.log)?;
+    let with_model = predict(&plan, &rec.log, &SimParams::cpus(8))?.speedup();
     let mut naive = SimParams::cpus(8);
     naive.barrier_aware_broadcast = false;
     let without = match simulate_plan(&plan, &rec.log, &naive) {
         Ok(sim) => {
-            let uni = simulate_plan(&plan, &rec.log, &{
-                let mut p = SimParams::cpus(1);
-                p.barrier_aware_broadcast = false;
-                p
-            })?;
-            Some(uni.wall_time.nanos() as f64 / sim.wall_time.nanos() as f64)
+            // The reference run goes without the model too.
+            let mut uni = reference_params(&naive);
+            uni.barrier_aware_broadcast = false;
+            Some(speedup(simulate_plan(&plan, &rec.log, &uni)?.wall_time, sim.wall_time))
         }
         Err(VppbError::ReplayDiverged(_)) => None,
         Err(e) => return Err(e),
@@ -118,7 +116,7 @@ pub fn comm_delay_sweep(delays_us: &[u64]) -> Result<Vec<(u64, Time)>, VppbError
 /// threads than processors (where priority aging matters).
 pub fn dispatch_ablation(scale: f64) -> Result<(Time, Time), VppbError> {
     let app = crate::figures_app_many_threads(scale);
-    let rec = record_app(&app)?;
+    let rec = record(&app, &RecordOptions::default())?;
     let ts = simulate(&rec.log, &SimParams::cpus(2))?.wall_time;
     let mut rr = SimParams::cpus(2);
     rr.machine.dispatch = DispatchTable::round_robin(Duration::from_millis(50));

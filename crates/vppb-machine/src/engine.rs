@@ -30,7 +30,7 @@ use std::sync::Arc;
 use vppb_model::{
     Binding, BlockReason, CodeAddr, CpuId, Duration, EventKind, EventResult, ExecutionTrace,
     FaultInjection, LwpId, LwpPolicy, MachineConfig, PlacedEvent, SyncObjId, ThreadId, ThreadInfo,
-    ThreadState, Time, Transition, VppbError,
+    ThreadState, Time, Transition, VppbError, TS_DEFAULT_PRI,
 };
 use vppb_threads::{
     Action, App, Body, FuncId, LibCall, Outcome, Program, ResumeCtx, TapeCursor, VarOp,
@@ -1477,12 +1477,8 @@ impl<'a, 'o> Engine<'a, 'o> {
                     self.cpu_bound_lwps += 1;
                 }
                 let lix = self.lwps.len();
-                let lix = self.lwps.push_new(
-                    LwpId(lix as u32),
-                    LState::Sleeping,
-                    self.cfg.initial_priority,
-                    true,
-                );
+                let lix =
+                    self.lwps.push_new(LwpId(lix as u32), LState::Sleeping, TS_DEFAULT_PRI, true);
                 self.lwps.thread[lix] = Some(tix);
                 self.lwps.cpu_binding[lix] = cpu_binding;
                 self.threads.lwp[tix] = Some(lix);
@@ -1494,7 +1490,7 @@ impl<'a, 'o> Engine<'a, 'o> {
 
     fn new_pool_lwp(&mut self) -> Lix {
         let id = LwpId(self.lwps.len() as u32);
-        let lix = self.lwps.push_new(id, LState::Parked, self.cfg.initial_priority, false);
+        let lix = self.lwps.push_new(id, LState::Parked, TS_DEFAULT_PRI, false);
         self.model.register_worker(lix);
         self.parked.push(Reverse(lix));
         lix

@@ -63,7 +63,7 @@ fn io_prediction_round_trips_through_the_simulator() {
 #[test]
 fn io_bound_program_speedup_is_predictable() {
     use vppb_recorder::{record, RecordOptions};
-    use vppb_sim::predict_speedup;
+    use vppb_sim::{analyze, predict};
 
     // Four I/O-bound workers: on one LWP their sleeps serialize (the
     // recorded profile), but the simulator knows io_wait releases the CPU,
@@ -82,7 +82,8 @@ fn io_bound_program_speedup_is_predictable() {
     });
     let app = b.build().unwrap();
     let rec = record(&app, &RecordOptions::default()).unwrap();
-    let pred = predict_speedup(&rec.log, 4).unwrap();
+    let params = vppb_model::SimParams::cpus(4);
+    let pred = predict(&analyze(&rec.log).unwrap(), &rec.log, &params).unwrap().speedup();
     let real1 = go(&app, &MachineConfig::sun_enterprise(1).with_lwps(LwpPolicy::PerThread));
     let real4 = go(&app, &MachineConfig::sun_enterprise(4).with_lwps(LwpPolicy::PerThread));
     let real = real1.wall_time.nanos() as f64 / real4.wall_time.nanos() as f64;

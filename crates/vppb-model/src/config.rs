@@ -7,7 +7,7 @@
 //! threads taken from the Solaris multithreaded-programming guide
 //! (creation 6.7× and synchronization 5.9× more expensive than unbound).
 
-use crate::dispatch::{DispatchTable, TS_DEFAULT_PRI};
+use crate::dispatch::DispatchTable;
 use crate::ids::{CpuId, ThreadId};
 use crate::time::Duration;
 use serde::{Deserialize, Serialize};
@@ -213,8 +213,6 @@ pub struct MachineConfig {
     /// Whether preemptive time slicing is enabled. Disabling it makes LWPs
     /// run-to-block, which is useful in tests.
     pub time_slicing: bool,
-    /// Initial TS priority for new LWPs.
-    pub initial_priority: i32,
     /// Latency model for thread-library operations.
     pub base_costs: BaseCosts,
     /// Bound-thread cost factors.
@@ -279,7 +277,6 @@ impl Default for MachineConfig {
             comm_delay: Duration::from_micros(1),
             dispatch: DispatchTable::solaris_ts(),
             time_slicing: true,
-            initial_priority: TS_DEFAULT_PRI,
             base_costs: BaseCosts::default(),
             bound_costs: BoundCosts::default(),
             migration_penalty: Duration::ZERO,

@@ -138,14 +138,6 @@ pub struct ExecutionTrace {
 }
 
 impl ExecutionTrace {
-    /// Speed-up of this execution relative to a baseline wall time.
-    pub fn speedup_vs(&self, uniprocessor_wall: Time) -> f64 {
-        if self.wall_time == Time::ZERO {
-            return 0.0;
-        }
-        uniprocessor_wall.nanos() as f64 / self.wall_time.nanos() as f64
-    }
-
     /// Reconstruct the state of every thread at time `t` (the Visualizer's
     /// parallelism graph integrates this over time).
     pub fn states_at(&self, t: Time) -> BTreeMap<ThreadId, ThreadState> {
@@ -255,14 +247,6 @@ mod tests {
         assert_eq!(tr.parallelism_at(Time::from_micros(15)), (1, 1));
         assert_eq!(tr.parallelism_at(Time::from_micros(30)), (2, 0));
         assert_eq!(tr.parallelism_at(Time::from_micros(60)), (1, 0));
-    }
-
-    #[test]
-    fn speedup_relative_to_baseline() {
-        let tr = trace_2cpu();
-        assert!((tr.speedup_vs(Time::from_micros(200)) - 2.0).abs() < 1e-9);
-        let empty = ExecutionTrace::default();
-        assert_eq!(empty.speedup_vs(Time::from_micros(200)), 0.0);
     }
 
     #[test]

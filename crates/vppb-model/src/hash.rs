@@ -27,7 +27,7 @@ use crate::config::{
     BaseCosts, Binding, BoundCosts, FaultInjection, LwpPolicy, MachineConfig, ModelKind, SimParams,
     ThreadManip,
 };
-use crate::dispatch::DispatchTable;
+use crate::dispatch::{DispatchTable, TS_DEFAULT_PRI};
 use crate::time::Duration;
 use std::fmt;
 use std::str::FromStr;
@@ -263,14 +263,16 @@ impl StableHash for MachineConfig {
         self.comm_delay.stable_hash(h);
         self.dispatch.stable_hash(h);
         h.write_bool(self.time_slicing);
-        h.write_i32(self.initial_priority);
+        // The fixed value of a retired knob (every new LWP starts at the
+        // TS default priority), so fingerprints, and with them memo keys
+        // spilled by older stores, stay what they were.
+        h.write_i32(TS_DEFAULT_PRI);
         self.base_costs.stable_hash(h);
         self.bound_costs.stable_hash(h);
         self.migration_penalty.stable_hash(h);
         self.model.stable_hash(h);
-        // The fixed values of two retired knobs (rwlock writer preference
-        // on, priority inheritance off), so fingerprints, and with them
-        // memo keys spilled by older stores, stay what they were.
+        // The same for two more retired knobs (rwlock writer preference
+        // on, priority inheritance off).
         h.write_bool(true);
         h.write_bool(false);
     }
@@ -421,9 +423,6 @@ mod tests {
         variants.push(v);
         let mut v = base.clone();
         v.machine.time_slicing = false;
-        variants.push(v);
-        let mut v = base.clone();
-        v.machine.initial_priority += 1;
         variants.push(v);
         let mut v = base.clone();
         v.machine.base_costs.sync_op = Duration::from_micros(3);

@@ -39,7 +39,7 @@ use vppb_machine::{event_kind_of, Intercept, RunOptions, RunResult, SchedEvent};
 use vppb_model::{
     Binding, BlockReason, CodeAddr, CpuId, Duration, EventResult, ExecutionTrace, LwpId, LwpPolicy,
     MachineConfig, PlacedEvent, SyncObjId, ThreadId, ThreadInfo, ThreadState, Time, Transition,
-    VppbError,
+    VppbError, TS_DEFAULT_PRI,
 };
 use vppb_threads::{Action, App, FuncId, LibCall, Outcome, Program, ResumeCtx, VarOp};
 
@@ -1032,7 +1032,7 @@ impl<'a, 'o> Oracle<'a, 'o> {
                 self.lwps.push(LwpRt {
                     id: LwpId(lix as u32),
                     state: LState::Sleeping,
-                    prio: self.cfg.initial_priority,
+                    prio: TS_DEFAULT_PRI,
                     quantum_left: Duration::ZERO,
                     fresh_quantum: true,
                     thread: Some(tix),
@@ -1052,7 +1052,7 @@ impl<'a, 'o> Oracle<'a, 'o> {
         self.lwps.push(LwpRt {
             id: LwpId(lix as u32),
             state: LState::Parked,
-            prio: self.cfg.initial_priority,
+            prio: TS_DEFAULT_PRI,
             quantum_left: Duration::ZERO,
             fresh_quantum: true,
             thread: None,

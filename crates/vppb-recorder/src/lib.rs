@@ -12,8 +12,8 @@ pub mod overhead;
 pub mod recorder;
 
 pub use logfile::{
-    load_bin, load_json, load_lenient, load_lenient_bytes, load_lenient_traced, load_text,
-    save_bin, save_json, save_text, LoadedLog,
+    load, load_lenient, load_lenient_bytes, load_lenient_traced, save_bin, save_json, save_text,
+    LoadedLog,
 };
 pub use overhead::{measure_overhead, OverheadReport};
 pub use recorder::{record, RecordOptions, Recording};

@@ -49,27 +49,10 @@ pub fn save_text(log: &TraceLog, path: impl AsRef<Path>) -> Result<(), VppbError
     atomic_write(path.as_ref(), textlog::write_log(log).as_bytes())
 }
 
-/// Read a text-format log.
-pub fn load_text(path: impl AsRef<Path>) -> Result<TraceLog, VppbError> {
-    let text = fs::read_to_string(path)?;
-    let log = textlog::parse_log(&text)?;
-    log.validate()?;
-    Ok(log)
-}
-
 /// Write a log as JSON (lossless, machine-friendly).
 pub fn save_json(log: &TraceLog, path: impl AsRef<Path>) -> Result<(), VppbError> {
     let json = serde_json::to_string(log).map_err(|e| VppbError::Io(format!("serialize: {e}")))?;
     atomic_write(path.as_ref(), json.as_bytes())
-}
-
-/// Read a JSON log.
-pub fn load_json(path: impl AsRef<Path>) -> Result<TraceLog, VppbError> {
-    let text = fs::read_to_string(path)?;
-    let log: TraceLog =
-        serde_json::from_str(&text).map_err(|e| VppbError::MalformedLog(format!("json: {e}")))?;
-    log.validate()?;
-    Ok(log)
 }
 
 /// Write a log in the compact binary format (roughly a third of the text
@@ -78,10 +61,42 @@ pub fn save_bin(log: &TraceLog, path: impl AsRef<Path>) -> Result<(), VppbError>
     atomic_write(path.as_ref(), &binlog::encode(log)?)
 }
 
-/// Read a binary log.
-pub fn load_bin(path: impl AsRef<Path>) -> Result<TraceLog, VppbError> {
+/// The three on-disk formats.
+enum Format {
+    Binary,
+    Json,
+    Text,
+}
+
+/// Tell the format from the first bytes: the binary magic, else a JSON
+/// brace after any leading whitespace, else text. Strict and lenient
+/// loads share it, so they never disagree on what a file is.
+fn sniff(data: &[u8]) -> Format {
+    if data.starts_with(b"VPPB") {
+        Format::Binary
+    } else if data.iter().find(|b| !b.is_ascii_whitespace()) == Some(&b'{') {
+        Format::Json
+    } else {
+        Format::Text
+    }
+}
+
+/// Parse a JSON log. JSON is all-or-nothing: serde either parses the
+/// value or not, so strict and lenient loads both use this.
+fn parse_json(text: &str) -> Result<TraceLog, VppbError> {
+    serde_json::from_str(text).map_err(|e| VppbError::MalformedLog(format!("json: {e}")))
+}
+
+/// Read a log of any format strictly: sniffed like [`load_lenient`],
+/// decoded with no recovery, and validated. Any damage is an error.
+pub fn load(path: impl AsRef<Path>) -> Result<TraceLog, VppbError> {
     let data = fs::read(path)?;
-    let log = binlog::decode(&data)?;
+    let text = || std::str::from_utf8(&data).map_err(|e| VppbError::Io(e.to_string()));
+    let log = match sniff(&data) {
+        Format::Binary => binlog::decode(&data)?,
+        Format::Json => parse_json(text()?)?,
+        Format::Text => textlog::parse_log(text()?)?,
+    };
     log.validate()?;
     Ok(log)
 }
@@ -107,8 +122,8 @@ impl LoadedLog {
 
 /// Load a log of any format, recovering what a strict load would refuse.
 ///
-/// The format is sniffed from the first bytes (binary magic, then JSON,
-/// then text). Decode-level damage is reported as diagnostics; if the
+/// The format is sniffed from the first bytes, as [`load`] does.
+/// Decode-level damage is reported as diagnostics; if the
 /// decoded log fails [`TraceLog::validate`], the salvager repairs it and
 /// the edits are reported too. Returns an error only when the damage is
 /// beyond salvage (no records survive, unsupported version, ...).
@@ -129,17 +144,10 @@ pub fn load_lenient_bytes(data: &[u8]) -> Result<LoadedLog, VppbError> {
 /// thread did after them) as provisional: a later append can replace a
 /// synthetic unlock/exit tail with the real continuation.
 pub fn load_lenient_traced(data: &[u8]) -> Result<(LoadedLog, Vec<usize>), VppbError> {
-    let (mut log, diagnostics) = if data.starts_with(b"VPPB") {
-        binlog::decode_lenient(data)?
-    } else if data.iter().find(|b| !b.is_ascii_whitespace()) == Some(&b'{') {
-        // JSON is all-or-nothing: serde either parses the value or not.
-        let text = String::from_utf8_lossy(data);
-        let log: TraceLog = serde_json::from_str(&text)
-            .map_err(|e| VppbError::MalformedLog(format!("json: {e}")))?;
-        (log, Vec::new())
-    } else {
-        let text = String::from_utf8_lossy(data);
-        textlog::parse_log_lenient(&text)
+    let (mut log, diagnostics) = match sniff(data) {
+        Format::Binary => binlog::decode_lenient(data)?,
+        Format::Json => (parse_json(&String::from_utf8_lossy(data))?, Vec::new()),
+        Format::Text => textlog::parse_log_lenient(&String::from_utf8_lossy(data)),
     };
     let (salvage_report, synthetic) = match log.validate() {
         Ok(()) => (SalvageReport::default(), Vec::new()),
@@ -181,7 +189,7 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("log.vppb");
         save_text(&log, &path).unwrap();
-        let back = load_text(&path).unwrap();
+        let back = load(&path).unwrap();
         assert_eq!(back, log);
     }
 
@@ -192,7 +200,7 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("log.vppbb");
         save_bin(&log, &path).unwrap();
-        let back = load_bin(&path).unwrap();
+        let back = load(&path).unwrap();
         assert_eq!(back, log);
         // And it is smaller than the text form.
         let text_path = dir.join("log.vppb");
@@ -209,8 +217,13 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("log.json");
         save_json(&log, &path).unwrap();
-        let back = load_json(&path).unwrap();
+        let back = load(&path).unwrap();
         assert_eq!(back, log);
+        // A leading newline keeps it JSON, for strict and lenient loads.
+        let padded = dir.join("padded.json");
+        fs::write(&padded, format!("\n{}", fs::read_to_string(&path).unwrap())).unwrap();
+        assert_eq!(load(&padded).unwrap(), log);
+        assert!(load_lenient(&padded).unwrap().is_pristine());
     }
 
     #[test]
@@ -239,7 +252,7 @@ mod tests {
 
     #[test]
     fn missing_file_is_io_error() {
-        assert!(matches!(load_text("/nonexistent/vppb.log"), Err(VppbError::Io(_))));
+        assert!(matches!(load("/nonexistent/vppb.log"), Err(VppbError::Io(_))));
     }
 
     #[test]
@@ -248,7 +261,7 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("bad.vppb");
         fs::write(&path, "0.000000 T1 Q wat @0x0\n").unwrap();
-        assert!(matches!(load_text(&path), Err(VppbError::Diag(_))));
+        assert!(matches!(load(&path), Err(VppbError::Diag(_))));
     }
 
     #[test]
@@ -259,7 +272,7 @@ mod tests {
         let path = dir.join("cut.vppbb");
         let bytes = binlog::encode(&log).unwrap();
         fs::write(&path, &bytes[..bytes.len() - 9]).unwrap();
-        assert!(load_bin(&path).is_err(), "strict load refuses");
+        assert!(load(&path).is_err(), "strict load refuses");
         let loaded = load_lenient(&path).unwrap();
         assert!(!loaded.is_pristine());
         loaded.log.validate().unwrap();

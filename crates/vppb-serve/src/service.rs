@@ -14,20 +14,21 @@
 //!   lookup instead of a replay.
 //!
 //! Cached and cold answers are therefore bit-identical by design, and
-//! both are bit-identical to the `vppb predict` CLI, which runs the same
-//! `analyze → simulate_plan(1 CPU) / simulate_plan(N CPUs)` pipeline.
+//! both are bit-identical to the `vppb predict` CLI: each divides the
+//! predicted 1-CPU wall of the same scheduling model by the N-CPU wall
+//! (`vppb_sim::reference_params` and `vppb_sim::speedup`).
 
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use vppb_model::{
     binlog, ContentId, Duration, LwpPolicy, ModelKind, SalvageReport, SchedMetrics, SimParams,
-    TraceLog, Vfs, VppbError,
+    Time, TraceLog, Vfs, VppbError,
 };
 use vppb_recorder::load_lenient_bytes;
 use vppb_sim::{
-    analyze, simulate_plan, simulate_plan_metrics, sweep_plan, CacheStats, PlanCache, SweepGrid,
-    SweepPoint,
+    analyze, reference_params, simulate_plan, simulate_plan_metrics, speedup, sweep_plan,
+    CacheStats, PlanCache, SweepGrid, SweepPoint,
 };
 
 use crate::persist::{Durability, DurabilityStats, StartupReport};
@@ -425,6 +426,15 @@ fn absorb(agg: &mut SchedMetrics, m: &SchedMetrics) {
     agg.n_threads = agg.n_threads.max(m.n_threads);
 }
 
+/// What a prediction reads off one replay, whichever way it ran.
+struct Replay {
+    wall: Time,
+    audit_clean: bool,
+    des_events: u64,
+    /// Scheduling counters, when the replay collected them.
+    metrics: Option<SchedMetrics>,
+}
+
 /// Memoized responses keyed `(content id, params fingerprint)`; the flag
 /// records whether the entry came off the spill journal (the disk-warm
 /// path) rather than this process.
@@ -518,13 +528,7 @@ impl PredictionService {
         self.check_available()?;
         let stored = StoredLog::from_raw(raw.to_vec())
             .map_err(|e| ServeError::BadRequest(format!("unsalvageable log: {e}")))?;
-        // The id is the hash of the *salvaged* log's canonical binary
-        // encoding: two damaged uploads that salvage to the same log — or
-        // the same log in text vs binary form — share an id, a plan, and
-        // every memoized prediction.
-        let canonical = binlog::encode(&stored.log)
-            .map_err(|e| ServeError::Internal(format!("canonical encode: {e}")))?;
-        let id = ContentId::of_bytes(&canonical);
+        let id = content_id(&stored.log)?;
         let response = UploadResponse {
             id: id.to_string(),
             program: stored.log.header.program.clone(),
@@ -623,9 +627,7 @@ impl PredictionService {
             .map_err(|e| ServeError::BadRequest(format!("buffer not parseable yet: {e}")))?;
         let state =
             stream.session.state().ok_or_else(|| ServeError::Internal("no parse state".into()))?;
-        let canonical = binlog::encode(&state.loaded.log)
-            .map_err(|e| ServeError::Internal(format!("canonical encode: {e}")))?;
-        let cid = ContentId::of_bytes(&canonical);
+        let cid = content_id(&state.loaded.log)?;
         let response = AppendResponse {
             id: id.to_string(),
             content_id: cid.to_string(),
@@ -665,62 +667,23 @@ impl PredictionService {
         let sid = self.parse_id(id)?;
         let slot = self.session(sid)?;
         let mut stream = slot.lock().expect("session lock");
-        let params = SimParams::cpus(cpus);
-        let key = (stream.current, params.fingerprint());
-        if let Some((hit, from_disk)) =
-            self.results.lock().expect("results lock").get(&key).cloned()
-        {
-            let mut c = self.counters.lock().expect("counters lock");
-            c.predictions += 1;
-            c.result_hits += 1;
-            return Ok((hit, if from_disk { CacheHit::Disk } else { CacheHit::Memory }));
-        }
-        self.counters.lock().expect("counters lock").result_misses += 1;
-
-        let uni_key = (stream.current, ModelKind::SolarisTs);
-        let memoized_uni = self.uni_walls.lock().expect("uni lock").get(&uni_key).copied();
-        let uni_wall_ns = match memoized_uni {
-            Some(w) => w,
-            None => {
-                let uni = stream
-                    .session
-                    .predict(&SimParams::cpus(1))
-                    .map_err(|e| ServeError::Internal(e.to_string()))?;
-                let w = uni.wall_time.nanos();
-                self.uni_walls.lock().expect("uni lock").insert(uni_key, w);
-                w
-            }
-        };
-        let multi =
-            stream.session.predict(&params).map_err(|e| ServeError::Internal(e.to_string()))?;
-        let wall_ns = multi.wall_time.nanos();
+        let stream = &mut *stream;
         let program = stream
             .session
             .log()
             .map(|l| l.header.program.clone())
             .ok_or_else(|| ServeError::Internal("no parse state".into()))?;
-        let response = Arc::new(PredictResponse {
-            id: stream.current.to_string(),
-            program,
-            cpus,
-            model: ModelKind::SolarisTs.name().to_string(),
-            wall_ns,
-            uni_wall_ns,
-            speedup: if wall_ns == 0 { 0.0 } else { uni_wall_ns as f64 / wall_ns as f64 },
-            audit_clean: multi.audit.is_clean(),
-            des_events: multi.des_events,
-        });
-        {
-            let mut c = self.counters.lock().expect("counters lock");
-            c.predictions += 1;
-            if response.audit_clean {
-                c.audits_clean += 1;
-            } else {
-                c.audits_violated += 1;
-            }
-        }
-        self.memoize(key, &response);
-        Ok((response, CacheHit::Miss))
+        let (current, params) = (stream.current, SimParams::cpus(cpus));
+        // Follow runs stay out of the `/metrics` scheduling rollup.
+        self.predict_content(current, &current.to_string(), &program, &params, |p, _| {
+            let r = stream.session.predict(p)?;
+            Ok(Replay {
+                wall: r.wall_time,
+                audit_clean: r.audit.is_clean(),
+                des_events: r.des_events,
+                metrics: None,
+            })
+        })
     }
 
     /// What recovery reported for a stored log (`GET`-style lookup used
@@ -743,8 +706,45 @@ impl PredictionService {
             // replay would, making queue backpressure deterministic.
             std::thread::sleep(std::time::Duration::from_millis(req.delay_ms));
         }
-        let params = req.params();
-        let key = (id, params.fingerprint());
+        let log = &stored.log;
+        let mut plan = None;
+        self.predict_content(id, &req.id, &log.header.program, &req.params(), |params, rollup| {
+            // The plan is looked up once, and only on a memo miss.
+            if plan.is_none() {
+                plan = Some(self.plans.get_or_build(id, || analyze(log))?.0);
+            }
+            let plan = plan.as_deref().expect("looked up above");
+            let (run, metrics) = if rollup {
+                let (run, m) = simulate_plan_metrics(plan, log, params)?;
+                (run, Some(m))
+            } else {
+                (simulate_plan(plan, log, params)?, None)
+            };
+            Ok(Replay {
+                wall: run.wall_time,
+                audit_clean: run.audit.is_clean(),
+                des_events: run.des_events,
+                metrics,
+            })
+        })
+    }
+
+    /// The one prediction path behind [`Self::predict`] and
+    /// [`Self::predict_follow`]: memo lookup, the memoized 1-CPU reference
+    /// wall, the response (echoing `id` and `program`), counters and
+    /// memoization. `replay(params, rollup)` runs `content` once under
+    /// `params`, and collects scheduling counters for the `/metrics`
+    /// rollup when `rollup` asks and its path feeds the rollup; the
+    /// reference run never asks.
+    fn predict_content(
+        &self,
+        content: ContentId,
+        id: &str,
+        program: &str,
+        params: &SimParams,
+        mut replay: impl FnMut(&SimParams, bool) -> Result<Replay, VppbError>,
+    ) -> Result<(Arc<PredictResponse>, CacheHit), ServeError> {
+        let key = (content, params.fingerprint());
         if let Some((hit, from_disk)) =
             self.results.lock().expect("results lock").get(&key).cloned()
         {
@@ -755,41 +755,30 @@ impl PredictionService {
         }
         self.counters.lock().expect("counters lock").result_misses += 1;
 
-        let (plan, _) = self
-            .plans
-            .get_or_build(id, || analyze(&stored.log))
-            .map_err(|e| ServeError::Internal(e.to_string()))?;
+        let internal = |e: VppbError| ServeError::Internal(e.to_string());
         // Copy out of the guard: a guard in the match scrutinee would
         // live across the `None` arm and deadlock on the re-lock below.
-        // The 1-CPU reference runs under the requested model too, so the
-        // speed-up stays model-internal (mirrors the CLI).
-        let uni_key = (id, req.model);
+        let uni_key = (content, params.machine.model);
         let memoized_uni = self.uni_walls.lock().expect("uni lock").get(&uni_key).copied();
-        let uni_wall_ns = match memoized_uni {
-            Some(w) => w,
+        let uni_wall = match memoized_uni {
+            Some(w) => Time(w),
             None => {
-                let mut uni_params = SimParams::cpus(1);
-                uni_params.machine.model = req.model;
-                let uni = simulate_plan(&plan, &stored.log, &uni_params)
-                    .map_err(|e| ServeError::Internal(e.to_string()))?;
-                let w = uni.wall_time.nanos();
-                self.uni_walls.lock().expect("uni lock").insert(uni_key, w);
+                let w = replay(&reference_params(params), false).map_err(internal)?.wall;
+                self.uni_walls.lock().expect("uni lock").insert(uni_key, w.nanos());
                 w
             }
         };
-        let (multi, metrics) = simulate_plan_metrics(&plan, &stored.log, &params)
-            .map_err(|e| ServeError::Internal(e.to_string()))?;
-        let wall_ns = multi.wall_time.nanos();
+        let run = replay(params, true).map_err(internal)?;
         let response = Arc::new(PredictResponse {
-            id: req.id.clone(),
-            program: stored.log.header.program.clone(),
-            cpus: req.cpus,
-            model: req.model.name().to_string(),
-            wall_ns,
-            uni_wall_ns,
-            speedup: if wall_ns == 0 { 0.0 } else { uni_wall_ns as f64 / wall_ns as f64 },
-            audit_clean: multi.audit.is_clean(),
-            des_events: multi.des_events,
+            id: id.to_string(),
+            program: program.to_string(),
+            cpus: params.machine.cpus,
+            model: params.machine.model.name().to_string(),
+            wall_ns: run.wall.nanos(),
+            uni_wall_ns: uni_wall.nanos(),
+            speedup: speedup(uni_wall, run.wall),
+            audit_clean: run.audit_clean,
+            des_events: run.des_events,
         });
         {
             let mut c = self.counters.lock().expect("counters lock");
@@ -799,7 +788,9 @@ impl PredictionService {
             } else {
                 c.audits_violated += 1;
             }
-            absorb(&mut c.sched, &metrics);
+            if let Some(m) = &run.metrics {
+                absorb(&mut c.sched, m);
+            }
         }
         self.memoize(key, &response);
         Ok((response, CacheHit::Miss))
@@ -966,11 +957,20 @@ impl PredictionService {
     }
 }
 
+/// Content id of a salvaged log: the hash of its canonical binary
+/// encoding. Two damaged uploads that salvage to the same log, or the
+/// same log in text and binary form, share an id, a plan and every
+/// memoized prediction.
+fn content_id(log: &TraceLog) -> Result<ContentId, ServeError> {
+    let canonical =
+        binlog::encode(log).map_err(|e| ServeError::Internal(format!("canonical encode: {e}")))?;
+    Ok(ContentId::of_bytes(&canonical))
+}
+
 /// Content id of a session's current (salvaged) log; `None` while its
 /// buffer has not parsed.
 fn session_content(session: &vppb_sim::StreamSession) -> Option<ContentId> {
-    let canonical = binlog::encode(&session.state()?.loaded.log).ok()?;
-    Some(ContentId::of_bytes(&canonical))
+    content_id(&session.state()?.loaded.log).ok()
 }
 
 #[cfg(test)]

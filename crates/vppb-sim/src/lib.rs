@@ -10,7 +10,10 @@
 //! ([`vppb_threads::TapeCursor`]); [`sim::replay_with_engine`] runs every
 //! replay, cold or streaming, on the machine engine under the requested
 //! configuration with [`rules::ReplayRules`] applying the dynamic
-//! condition-variable rules (§6's barrier model).
+//! condition-variable rules (§6's barrier model). [`sim::predict`] turns
+//! two replays into Table 1's speed-up: the 1-CPU reference run of
+//! [`sim::reference_params`] over the N-CPU run, by [`sim::speedup`], the
+//! one definition of that ratio.
 
 pub mod cache;
 pub mod divergence;
@@ -27,8 +30,8 @@ pub use divergence::{Divergence, DivergenceReport};
 pub use plan::{CvEpisode, CvPlan, ReplayOp, ReplayPlan, ThreadPlan};
 pub use rules::ReplayRules;
 pub use sim::{
-    build_replay_app, predict_speedup, replay_with_engine, simulate, simulate_plan,
-    simulate_plan_metrics, SimulatedExecution,
+    build_replay_app, predict, reference_params, replay_with_engine, simulate, simulate_plan,
+    simulate_plan_metrics, speedup, Prediction, SimulatedExecution,
 };
 pub use sorter::{analyze, analyze_with_stability};
 pub use stream::{

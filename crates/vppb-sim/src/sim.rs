@@ -39,12 +39,9 @@ pub struct SimulatedExecution {
 impl SimulatedExecution {
     /// Speed-up relative to the *monitored* uni-processor execution. For
     /// Table-1 style numbers prefer dividing two simulated runs (1 CPU vs
-    /// N CPUs) — see [`predict_speedup`].
+    /// N CPUs) — see [`predict`].
     pub fn speedup_vs_recorded(&self) -> f64 {
-        if self.wall_time == Time::ZERO {
-            return 0.0;
-        }
-        self.recorded_wall.nanos() as f64 / self.wall_time.nanos() as f64
+        speedup(self.recorded_wall, self.wall_time)
     }
 
     /// Where (if anywhere) this replay departs from the recorded log's
@@ -220,15 +217,52 @@ pub(crate) fn to_execution(
     }
 }
 
-/// Predict the speed-up on `cpus` processors the way Table 1 reports it:
-/// the ratio of the predicted 1-CPU wall time to the predicted N-CPU wall
-/// time (both from the same log, so recording intrusion cancels out).
-pub fn predict_speedup(log: &TraceLog, cpus: u32) -> Result<f64, VppbError> {
-    let plan = analyze(log)?;
-    let uni = simulate_plan(&plan, log, &SimParams::cpus(1))?;
-    let multi = simulate_plan(&plan, log, &SimParams::cpus(cpus))?;
-    if multi.wall_time == Time::ZERO {
-        return Ok(0.0);
+/// The 1-CPU reference run a predicted speed-up divides by: one CPU
+/// under the scheduling model of `params`, defaults otherwise, so the
+/// ratio stays model-internal.
+pub fn reference_params(params: &SimParams) -> SimParams {
+    let mut uni = SimParams::cpus(1);
+    uni.machine.model = params.machine.model;
+    uni
+}
+
+/// Table-1 speed-up: the 1-CPU reference wall over an N-CPU wall, and 0.0
+/// for a run of zero length.
+pub fn speedup(uni: Time, wall: Time) -> f64 {
+    if wall == Time::ZERO {
+        return 0.0;
     }
-    Ok(uni.wall_time.nanos() as f64 / multi.wall_time.nanos() as f64)
+    uni.nanos() as f64 / wall.nanos() as f64
+}
+
+/// A predicted speed-up the way Table 1 reports it: the predicted 1-CPU
+/// wall time and the predicted N-CPU execution, both replayed from the
+/// same log, so recording intrusion cancels out.
+#[derive(Debug, Clone)]
+pub struct Prediction {
+    /// Predicted wall time of the [`reference_params`] run.
+    pub uni_wall: Time,
+    /// The predicted N-CPU execution.
+    pub run: SimulatedExecution,
+    /// Scheduling metrics of the N-CPU run.
+    pub metrics: SchedMetrics,
+}
+
+impl Prediction {
+    /// The 1-CPU wall over the N-CPU wall.
+    pub fn speedup(&self) -> f64 {
+        speedup(self.uni_wall, self.run.wall_time)
+    }
+}
+
+/// Predict the speed-up under `params` from a plan of `log`: the
+/// [`reference_params`] run, then the N-CPU run with its metrics.
+pub fn predict(
+    plan: &ReplayPlan,
+    log: &TraceLog,
+    params: &SimParams,
+) -> Result<Prediction, VppbError> {
+    let uni_wall = simulate_plan(plan, log, &reference_params(params))?.wall_time;
+    let (run, metrics) = simulate_plan_metrics(plan, log, params)?;
+    Ok(Prediction { uni_wall, run, metrics })
 }

@@ -20,7 +20,7 @@
 //! [`crate::simulate`] calls report (there is a regression test for it).
 
 use crate::plan::ReplayPlan;
-use crate::sim::{build_replay_app, replay_with_engine};
+use crate::sim::{build_replay_app, replay_with_engine, speedup};
 use crate::sorter::analyze;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -203,7 +203,8 @@ pub fn sweep_plan(
 
     // Deduplicate: map each grid cell to a unique job. The 1-CPU
     // reference the speed-ups divide by is itself a job, so it also
-    // dedups against a 1-CPU grid cell.
+    // dedups against a 1-CPU grid cell. It is the Solaris run for every
+    // cell, async ones included: one surface, one denominator.
     let uni_params = SimParams::cpus(1);
     let mut jobs: Vec<SimParams> = Vec::new();
     let mut job_of_print: HashMap<u64, usize> = HashMap::new();
@@ -289,11 +290,7 @@ pub fn sweep_plan(
                     cpus: cell.params.machine.cpus,
                     model: cell.params.machine.model.name().to_string(),
                     wall_ns: wall.nanos(),
-                    speedup: if wall == Time::ZERO {
-                        0.0
-                    } else {
-                        uni_wall.nanos() as f64 / wall.nanos() as f64
-                    },
+                    speedup: speedup(uni_wall, wall),
                     utilization: if capacity == 0 { 0.0 } else { busy as f64 / capacity as f64 },
                     des_events: r.des_events,
                     audit_clean: r.audit.is_clean(),

@@ -3,9 +3,11 @@
 //! same program on the machine — the paper's §4 validation in miniature.
 
 use vppb_machine::{run, NullHooks, RunOptions};
-use vppb_model::{Duration, LwpPolicy, MachineConfig, SimParams, ThreadId, Time, VppbError};
+use vppb_model::{
+    Duration, LwpPolicy, MachineConfig, ModelKind, SimParams, ThreadId, Time, TraceLog, VppbError,
+};
 use vppb_recorder::{record, RecordOptions};
-use vppb_sim::{analyze, predict_speedup, simulate, simulate_plan};
+use vppb_sim::{analyze, predict, reference_params, simulate, simulate_plan, speedup};
 use vppb_threads::{AppBuilder, BarrierDecl};
 
 fn machine(cpus: u32) -> MachineConfig {
@@ -23,6 +25,11 @@ fn real_wall(app: &vppb_threads::App, cpus: u32) -> Time {
 fn predicted_wall(app: &vppb_threads::App, cpus: u32) -> Time {
     let rec = record(app, &RecordOptions::default()).expect("record");
     simulate(&rec.log, &SimParams::cpus(cpus)).expect("simulate").wall_time
+}
+
+/// Table-1 speed-up of a recorded log on `cpus` processors.
+fn predicted_speedup(log: &TraceLog, cpus: u32) -> f64 {
+    predict(&analyze(log).unwrap(), log, &SimParams::cpus(cpus)).unwrap().speedup()
 }
 
 fn rel_err(pred: Time, real: Time) -> f64 {
@@ -59,13 +66,35 @@ fn fork_join_prediction_matches_real_execution() {
 fn predicted_speedup_shape_is_sane() {
     let app = fork_join_app(8, 100);
     let rec = record(&app, &RecordOptions::default()).unwrap();
-    let s2 = predict_speedup(&rec.log, 2).unwrap();
-    let s4 = predict_speedup(&rec.log, 4).unwrap();
-    let s8 = predict_speedup(&rec.log, 8).unwrap();
+    let s2 = predicted_speedup(&rec.log, 2);
+    let s4 = predicted_speedup(&rec.log, 4);
+    let s8 = predicted_speedup(&rec.log, 8);
     assert!(s2 > 1.8 && s2 <= 2.05, "s2 = {s2}");
     assert!(s4 > 3.5 && s4 <= 4.05, "s4 = {s4}");
     assert!(s8 > 6.0 && s8 <= 8.1, "s8 = {s8}");
     assert!(s2 < s4 && s4 < s8);
+}
+
+#[test]
+fn speedup_divides_by_the_same_models_one_cpu_run_and_guards_zero() {
+    assert_eq!(speedup(Time::from_micros(200), Time::ZERO), 0.0);
+    assert_eq!(speedup(Time::from_micros(200), Time::from_micros(100)), 2.0);
+    let rec = record(&fork_join_app(4, 20), &RecordOptions::default()).unwrap();
+    let plan = analyze(&rec.log).unwrap();
+    for model in [ModelKind::SolarisTs, ModelKind::AsyncPool] {
+        let mut params = SimParams::cpus(4);
+        params.machine.model = model;
+        params.machine.lwps = LwpPolicy::Fixed(2);
+        let mut uni = SimParams::cpus(1);
+        uni.machine.model = model;
+        assert_eq!(reference_params(&params).fingerprint(), uni.fingerprint());
+        let p = predict(&plan, &rec.log, &params).unwrap();
+        let uni_wall = simulate_plan(&plan, &rec.log, &uni).unwrap().wall_time;
+        let multi = simulate_plan(&plan, &rec.log, &params).unwrap();
+        assert_eq!((p.uni_wall, p.run.wall_time), (uni_wall, multi.wall_time));
+        assert_eq!(p.metrics.wall_ns, multi.wall_time.nanos());
+        assert_eq!(p.speedup(), uni_wall.nanos() as f64 / multi.wall_time.nanos() as f64);
+    }
 }
 
 #[test]
@@ -85,7 +114,7 @@ fn mutex_bottleneck_is_predicted() {
     });
     let app = b.build().unwrap();
     let rec = record(&app, &RecordOptions::default()).unwrap();
-    let s4 = predict_speedup(&rec.log, 4).unwrap();
+    let s4 = predicted_speedup(&rec.log, 4);
     assert!(s4 < 1.1, "a fully serialized program must not speed up: {s4}");
     let real1 = real_wall(&app, 1);
     let real4 = real_wall(&app, 4);
@@ -268,7 +297,7 @@ fn producer_consumer_semaphores_predict_well() {
     let pred4 = predicted_wall(&app, 4);
     let real_speedup = real1.nanos() as f64 / real4.nanos() as f64;
     let rec = record(&app, &RecordOptions::default()).unwrap();
-    let pred_speedup = predict_speedup(&rec.log, 4).unwrap();
+    let pred_speedup = predicted_speedup(&rec.log, 4);
     assert!(
         (pred_speedup - real_speedup).abs() / real_speedup < 0.10,
         "speedup: predicted {pred_speedup:.2} vs real {real_speedup:.2}"

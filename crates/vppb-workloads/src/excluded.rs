@@ -126,7 +126,12 @@ mod tests {
     use vppb_machine::{run, NullHooks, RunLimits, RunOptions};
     use vppb_model::{LwpPolicy, MachineConfig, SimParams, Time, VppbError};
     use vppb_recorder::{record, RecordOptions};
-    use vppb_sim::predict_speedup;
+    use vppb_sim::{analyze, predict};
+
+    /// Table-1 speed-up of a recorded log on `cpus` processors.
+    fn predicted_speedup(log: &vppb_model::TraceLog, cpus: u32) -> f64 {
+        predict(&analyze(log).unwrap(), log, &SimParams::cpus(cpus)).unwrap().speedup()
+    }
 
     fn real_speedup(app1: &App, app8: &App) -> f64 {
         let mut hooks = NullHooks;
@@ -170,7 +175,7 @@ mod tests {
         // prediction matches reality.
         let app = |_| spin_variable_fixed(3, 0.1);
         let rec = record(&app(()), &RecordOptions::default()).expect("recordable after fix");
-        let predicted = predict_speedup(&rec.log, 4).unwrap();
+        let predicted = predicted_speedup(&rec.log, 4);
         let real = {
             let mut hooks = NullHooks;
             let cfg = |p| MachineConfig::sun_enterprise(p).with_lwps(LwpPolicy::PerThread);
@@ -194,8 +199,7 @@ mod tests {
         let real = real_speedup(&app(4), &app(4));
         assert!(real > 3.0, "real stealing scales: {real:.2}");
         let rec = record(&app(4), &RecordOptions::default()).expect("records fine");
-        let predicted = predict_speedup(&rec.log, 8).unwrap();
+        let predicted = predicted_speedup(&rec.log, 8);
         assert!(predicted < 1.5, "prediction sees one greedy thread: {predicted:.2}");
-        let _ = SimParams::cpus(8);
     }
 }

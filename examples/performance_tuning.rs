@@ -16,8 +16,9 @@ fn main() -> Result<(), VppbError> {
     // Step 1: the initial program — 150 producers, 75 consumers, one
     // buffer mutex. Record on a uni-processor and predict 8 CPUs.
     let naive = prodcons::naive(SCALE);
-    let (speedup, sim) = pipeline::record_and_predict(&naive, 8)?;
-    println!("naive program:    predicted speed-up on 8 CPUs = {speedup:.3}");
+    let prediction = pipeline::record_and_predict(&naive, 8)?;
+    let sim = &prediction.run;
+    println!("naive program:    predicted speed-up on 8 CPUs = {:.3}", prediction.speedup());
     println!("                  (the paper found 1.022 — \"only 2.2% faster\")\n");
 
     // Step 2: diagnose. In the execution flow graph "no threads are
@@ -51,7 +52,7 @@ fn main() -> Result<(), VppbError> {
     // Step 3: the fix — 100 sub-buffers with their own locks, split
     // insert/fetch check mutexes. Predict again.
     let improved = prodcons::improved(SCALE);
-    let (speedup2, _) = pipeline::record_and_predict(&improved, 8)?;
+    let speedup2 = pipeline::record_and_predict(&improved, 8)?.speedup();
     println!("improved program: predicted speed-up on 8 CPUs = {speedup2:.2}");
     println!("                  (the paper predicted 7.75)\n");
 

@@ -43,13 +43,13 @@ fn main() -> Result<(), VppbError> {
     println!("  ... {} records, monitored run took {}\n", rec.log.len(), rec.wall_time());
 
     // --- simulate two processors -----------------------------------------
-    let sim = pipeline::predict(&rec.log, 2)?;
-    let uni = pipeline::predict(&rec.log, 1)?;
+    let prediction = pipeline::predict(&rec.log, 2)?;
+    let sim = &prediction.run;
     println!(
         "predicted: {} on 1 CPU, {} on 2 CPUs -> speed-up {:.2}\n",
-        uni.wall_time,
+        prediction.uni_wall,
         sim.wall_time,
-        uni.wall_time.nanos() as f64 / sim.wall_time.nanos() as f64
+        prediction.speedup()
     );
 
     // --- the two graphs (fig. 5) -------------------------------------------

@@ -26,9 +26,8 @@ fn main() {
         print!("{:<16}", spec.name);
         for &cpus in &cpu_counts {
             let app = (spec.build)(KernelParams::scaled(cpus, scale));
-            let (speedup, _) =
-                pipeline::record_and_predict(&app, cpus).expect("prediction succeeds");
-            print!(" {speedup:>6.2}");
+            let prediction = pipeline::record_and_predict(&app, cpus).expect("prediction succeeds");
+            print!(" {:>6.2}", prediction.speedup());
         }
         println!();
     }

@@ -31,7 +31,8 @@ use vppb_model::{
 use vppb_oracle::OracleTweaks;
 use vppb_recorder as logio;
 use vppb_sim::{
-    analyze, simulate_plan, simulate_plan_metrics, DivergenceReport, SweepGrid, SweepPoint,
+    analyze, reference_params, simulate_plan, simulate_plan_metrics, speedup, DivergenceReport,
+    SimulatedExecution, SweepGrid, SweepPoint,
 };
 use vppb_viz::{ansi, compute_stats, stats, svg, Align, AnsiOptions, TextTable};
 use vppb_workloads::{prodcons, splash2_suite, KernelParams};
@@ -83,8 +84,28 @@ struct MetricsDump {
     salvage: SalvageReport,
 }
 
-fn write_metrics_json(path: &str, dump: &MetricsDump) -> Result<(), String> {
-    let json = serde_json::to_string(dump).map_err(|e| e.to_string())?;
+/// Write the `--metrics-json` dump of `run`, one replay of `log`, with
+/// the speed-up the verb reports.
+fn write_metrics_json(
+    path: &str,
+    log: &TraceLog,
+    run: &SimulatedExecution,
+    speedup: f64,
+    metrics: SchedMetrics,
+    salvage: &SalvageReport,
+) -> Result<(), String> {
+    let dump = MetricsDump {
+        program: log.header.program.clone(),
+        cpus: run.params.machine.cpus,
+        model: run.params.machine.model.name().to_string(),
+        wall_ns: run.wall_time.nanos(),
+        speedup,
+        metrics,
+        audit: run.audit.clone(),
+        divergence: run.divergence_from(log),
+        salvage: salvage.clone(),
+    };
+    let json = serde_json::to_string(&dump).map_err(|e| e.to_string())?;
     std::fs::write(path, json).map_err(|e| e.to_string())?;
     println!("wrote {path}");
     Ok(())
@@ -127,7 +148,7 @@ impl LoadedInput {
 /// `--lenient` with every diagnostic and salvage edit printed to stderr.
 fn load_input(path: &str, flags: &BTreeMap<String, String>) -> Result<LoadedInput, String> {
     if !flags.contains_key("lenient") {
-        let log = load_log(path).map_err(|e| e.to_string())?;
+        let log = logio::load(path).map_err(|e| e.to_string())?;
         return Ok(LoadedInput { log, diagnostics: Vec::new(), salvage: SalvageReport::default() });
     }
     let loaded = logio::load_lenient(path).map_err(|e| e.to_string())?;
@@ -213,18 +234,8 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 sim.speedup_vs_recorded()
             );
             if let (Some(file), Some(metrics)) = (flags.get("metrics-json"), metrics) {
-                let dump = MetricsDump {
-                    program: log.header.program.clone(),
-                    cpus,
-                    model: params.machine.model.name().to_string(),
-                    wall_ns: sim.wall_time.nanos(),
-                    speedup: sim.speedup_vs_recorded(),
-                    metrics,
-                    audit: sim.audit.clone(),
-                    divergence: sim.divergence_from(log),
-                    salvage: input.salvage.clone(),
-                };
-                write_metrics_json(file, &dump)?;
+                let s = sim.speedup_vs_recorded();
+                write_metrics_json(file, log, &sim, s, metrics, &input.salvage)?;
             }
             if let Some(file) = flags.get("svg") {
                 std::fs::write(file, svg::render_trace(&sim.trace)).map_err(|e| e.to_string())?;
@@ -248,43 +259,17 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             let input = load_input(path, &flags)?;
             let log = &input.log;
             let cpus: u32 = flag(&flags, "cpus", 8)?;
-            let model = parse_model(&flags)?;
-            let mut uni_params = SimParams::cpus(1);
-            uni_params.machine.model = model;
-            let mut multi_params = SimParams::cpus(cpus);
-            multi_params.machine.model = model;
-            // Table-1 style speed-up: predicted 1-CPU wall over predicted
-            // N-CPU wall, with the N-CPU run's metrics under
-            // `--metrics-json`. Both runs use the same scheduling model, so
-            // the ratio stays model-internal.
+            let mut params = SimParams::cpus(cpus);
+            params.machine.model = parse_model(&flags)?;
+            // Table-1 style speed-up over the same model's 1-CPU run, with
+            // the N-CPU run's metrics under `--metrics-json`.
             let plan = analyze(log).map_err(|e| e.to_string())?;
-            let uni = simulate_plan(&plan, log, &uni_params).map_err(|e| e.to_string())?;
-            let (multi, metrics) = if flags.contains_key("metrics-json") {
-                let (multi, m) =
-                    simulate_plan_metrics(&plan, log, &multi_params).map_err(|e| e.to_string())?;
-                (multi, Some(m))
-            } else {
-                (simulate_plan(&plan, log, &multi_params).map_err(|e| e.to_string())?, None)
-            };
-            let s = if multi.wall_time.nanos() == 0 {
-                0.0
-            } else {
-                uni.wall_time.nanos() as f64 / multi.wall_time.nanos() as f64
-            };
+            let prediction = vppb_sim::predict(&plan, log, &params).map_err(|e| e.to_string())?;
+            let s = prediction.speedup();
             println!("predicted speed-up of `{}` on {cpus} CPUs: {s:.2}", log.header.program);
-            if let (Some(file), Some(metrics)) = (flags.get("metrics-json"), metrics) {
-                let dump = MetricsDump {
-                    program: log.header.program.clone(),
-                    cpus,
-                    model: model.name().to_string(),
-                    wall_ns: multi.wall_time.nanos(),
-                    speedup: s,
-                    metrics,
-                    audit: multi.audit.clone(),
-                    divergence: multi.divergence_from(log),
-                    salvage: input.salvage.clone(),
-                };
-                write_metrics_json(file, &dump)?;
+            if let Some(file) = flags.get("metrics-json") {
+                let (run, metrics) = (&prediction.run, prediction.metrics);
+                write_metrics_json(file, log, run, s, metrics, &input.salvage)?;
             }
             Ok(input.exit())
         }
@@ -469,7 +454,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         }
         "report" => {
             let path = pos.first().ok_or("report: which log file?")?;
-            let log = load_log(path).map_err(|e| e.to_string())?;
+            let log = logio::load(path).map_err(|e| e.to_string())?;
             println!("program:   {}", log.header.program);
             println!("wall time: {} (monitored uni-processor)", log.header.wall_time);
             println!("records:   {}", log.len());
@@ -518,7 +503,7 @@ fn check_log(path: &str, flags: &BTreeMap<String, String>) -> Result<ExitCode, S
 
     if flags.contains_key("strict") {
         // Strict: the log must load with zero recovery, or the check fails.
-        match load_log(path) {
+        match logio::load(path) {
             Ok(log) => {
                 if json {
                     let dump = CheckDump {
@@ -965,8 +950,8 @@ fn watch(path: &str, flags: &BTreeMap<String, String>) -> Result<ExitCode, Strin
     let interval_ms: u64 = flag(flags, "interval-ms", 500)?;
     let idle_timeout_ms: u64 = flag(flags, "idle-timeout-ms", 0)?;
     let once = flags.contains_key("once");
-    let uni = SimParams::cpus(1);
     let multi = SimParams::cpus(cpus);
+    let uni = reference_params(&multi);
     let mut session = vppb_sim::StreamSession::new();
     let mut last: Option<f64> = None;
 
@@ -980,11 +965,7 @@ fn watch(path: &str, flags: &BTreeMap<String, String>) -> Result<ExitCode, Strin
         }
         let u = session.predict(&uni).map_err(|e| e.to_string())?;
         let m = session.predict(&multi).map_err(|e| e.to_string())?;
-        let s = if m.wall_time.nanos() == 0 {
-            0.0
-        } else {
-            u.wall_time.nanos() as f64 / m.wall_time.nanos() as f64
-        };
+        let s = speedup(u.wall_time, m.wall_time);
         let ckpt = session
             .checkpoint_events(&multi)
             .map_or("cold".to_string(), |e| format!("checkpoint @{e}"));
@@ -1041,18 +1022,7 @@ fn watch(path: &str, flags: &BTreeMap<String, String>) -> Result<ExitCode, Strin
         let log = session.log().ok_or("watch: no parsed log")?;
         let plan = analyze(log).map_err(|e| e.to_string())?;
         let (m, metrics) = simulate_plan_metrics(&plan, log, &multi).map_err(|e| e.to_string())?;
-        let dump = MetricsDump {
-            program,
-            cpus,
-            model: multi.machine.model.name().to_string(),
-            wall_ns: m.wall_time.nanos(),
-            speedup: s,
-            metrics,
-            audit: m.audit.clone(),
-            divergence: m.divergence_from(log),
-            salvage: SalvageReport::default(),
-        };
-        write_metrics_json(file, &dump)?;
+        write_metrics_json(file, log, &m, s, metrics, &SalvageReport::default())?;
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -1174,16 +1144,4 @@ fn save_log(log: &TraceLog, path: &str, format: &str) -> Result<(), VppbError> {
         "bin" => logio::save_bin(log, path),
         other => Err(VppbError::InvalidConfig(format!("unknown format `{other}`"))),
     }
-}
-
-fn load_log(path: &str) -> Result<TraceLog, VppbError> {
-    // Sniff the format: binary magic, JSON brace, else text.
-    let bytes = std::fs::read(path)?;
-    if bytes.starts_with(b"VPPB") {
-        return logio::load_bin(path);
-    }
-    if bytes.first() == Some(&b'{') {
-        return logio::load_json(path);
-    }
-    logio::load_text(path)
 }

@@ -5,7 +5,7 @@
 use vppb_machine::{run, NullHooks, RunOptions, RunResult};
 use vppb_model::{LwpPolicy, MachineConfig, SimParams, TraceLog, VppbError};
 use vppb_recorder::{record, RecordOptions, Recording};
-use vppb_sim::{simulate, SimulatedExecution};
+use vppb_sim::{analyze, Prediction};
 use vppb_threads::App;
 
 /// Record a monitored uni-processor execution (box b–d of fig. 1).
@@ -13,21 +13,16 @@ pub fn record_app(app: &App) -> Result<Recording, VppbError> {
     record(app, &RecordOptions::default())
 }
 
-/// Predict the execution of the recorded program on `cpus` processors
-/// with one LWP per thread (boxes d–g).
-pub fn predict(log: &TraceLog, cpus: u32) -> Result<SimulatedExecution, VppbError> {
-    simulate(log, &SimParams::cpus(cpus))
+/// Predict the recorded program on `cpus` processors with one LWP per
+/// thread (boxes d–g): the speed-up over the predicted 1-CPU run, and the
+/// simulated execution for the Visualizer.
+pub fn predict(log: &TraceLog, cpus: u32) -> Result<Prediction, VppbError> {
+    vppb_sim::predict(&analyze(log)?, log, &SimParams::cpus(cpus))
 }
 
-/// Record `app` and predict its speed-up on `cpus` processors in one call:
-/// returns (predicted speed-up, the simulated execution for the
-/// Visualizer).
-pub fn record_and_predict(app: &App, cpus: u32) -> Result<(f64, SimulatedExecution), VppbError> {
-    let rec = record_app(app)?;
-    let uni = predict(&rec.log, 1)?;
-    let multi = predict(&rec.log, cpus)?;
-    let speedup = uni.wall_time.nanos() as f64 / multi.wall_time.nanos() as f64;
-    Ok((speedup, multi))
+/// Record `app` and predict it on `cpus` processors in one call.
+pub fn record_and_predict(app: &App, cpus: u32) -> Result<Prediction, VppbError> {
+    predict(&record_app(app)?.log, cpus)
 }
 
 /// Ground truth: actually execute `app` on a simulated `cpus`-processor
@@ -53,7 +48,8 @@ mod tests {
             f.loop_n(4, |f| f.join(s));
         });
         let app = b.build().unwrap();
-        let (speedup, sim) = record_and_predict(&app, 4).unwrap();
+        let prediction = record_and_predict(&app, 4).unwrap();
+        let (speedup, sim) = (prediction.speedup(), &prediction.run);
         assert!(speedup > 3.5 && speedup <= 4.05, "{speedup}");
         assert!(!sim.trace.events.is_empty());
         let real = real_run(&app, 4).unwrap();

@@ -120,6 +120,54 @@ fn binary_and_text_formats_sniff_correctly() {
         assert!(ok, "report {fmt}: {e}");
         assert!(stdout.contains("program:   lu"));
     }
+
+    // A leading newline keeps a JSON log JSON for every verb, strict or
+    // lenient: they share one sniff.
+    let json = dir.join("l.json");
+    let padded = dir.join("padded.json");
+    std::fs::write(&padded, [b"\n".as_slice(), &std::fs::read(&json).unwrap()].concat()).unwrap();
+    let padded_s = padded.to_str().unwrap();
+    for args in [&["check", padded_s][..], &["check", "--strict", padded_s]] {
+        let (code, stdout, e) = vppb_code(args);
+        assert_eq!(code, 0, "{args:?}: {e}");
+        assert!(stdout.contains(": clean"), "{args:?}: {stdout}");
+    }
+    let (ok, stdout, e) = vppb(&["report", padded_s]);
+    assert!(ok && stdout.contains("program:   lu"), "report padded json: {e}");
+    let predict = |path: &str| vppb_code(&["predict", path, "--cpus", "2"]);
+    let (code, padded_out, e) = predict(padded_s);
+    assert_eq!(code, 0, "predict padded json: {e}");
+    assert_eq!(padded_out, predict(json.to_str().unwrap()).1);
+}
+
+#[test]
+fn watch_ends_on_the_line_predict_prints() {
+    let dir = tmpdir("watch");
+    for fmt in ["text", "bin"] {
+        let log = dir.join(format!("fft.{fmt}"));
+        let log_s = log.to_str().unwrap();
+        let (ok, _, e) = vppb(&[
+            "record",
+            "fft",
+            "--threads",
+            "4",
+            "--scale",
+            "0.1",
+            "-o",
+            log_s,
+            "--format",
+            fmt,
+        ]);
+        assert!(ok, "record {fmt}: {e}");
+        let (ok, predicted, e) = vppb(&["predict", log_s, "--cpus", "4"]);
+        assert!(ok, "predict {fmt}: {e}");
+        let (ok, watched, e) = vppb(&["watch", log_s, "--cpus", "4", "--chunks", "6"]);
+        assert!(ok, "watch {fmt}: {e}");
+        assert!(e.contains("vppb watch: "), "rolling updates go to stderr: {e}");
+        let last = watched.lines().last().expect("watch prints its final prediction");
+        assert!(last.starts_with("predicted speed-up of `fft` on 4 CPUs: "), "{watched}");
+        assert_eq!(Some(last), predicted.lines().last(), "{fmt}: watch and predict disagree");
+    }
 }
 
 #[test]

@@ -4,7 +4,7 @@
 
 use vppb::pipeline;
 use vppb::prelude::*;
-use vppb_recorder::{load_text, save_text};
+use vppb_recorder::{load, save_text};
 use vppb_sim::simulate;
 use vppb_threads::AppBuilder;
 use vppb_viz::{ansi, svg, AnsiOptions, Inspector, ThreadFilter, Timeline, View, ZoomStep};
@@ -20,7 +20,7 @@ fn workflow_via_log_file_on_disk() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("fft.vppb");
     save_text(&rec.log, &path).unwrap();
-    let log = load_text(&path).unwrap();
+    let log = load(&path).unwrap();
     assert_eq!(log, rec.log);
 
     // Simulate from the loaded log.
@@ -53,7 +53,7 @@ fn inspector_reaches_source_lines_through_the_whole_stack() {
         f.join(c);
     });
     let app = b.build().unwrap();
-    let (_, sim) = pipeline::record_and_predict(&app, 2).unwrap();
+    let sim = pipeline::record_and_predict(&app, 2).unwrap().run;
 
     let mut ins = Inspector::new(&sim.trace);
     let mut d = ins.select_near(ThreadId(4), Time::ZERO).unwrap();
@@ -137,7 +137,7 @@ fn comparison_view_aligns_prediction_with_reality() {
     // The §4 validation as a library call: per-thread deltas between the
     // predicted and the real execution of an FFT run.
     let app = splash::fft(KernelParams::scaled(4, 0.2));
-    let (_, sim) = pipeline::record_and_predict(&app, 4).unwrap();
+    let sim = pipeline::record_and_predict(&app, 4).unwrap().run;
     let real = pipeline::real_run(&app, 4).unwrap();
     let cmp = vppb_viz::compare("predicted", &sim.trace, "real", &real.trace);
     assert!(cmp.wall_error.abs() < 0.03, "wall error {:.2}%", cmp.wall_error * 100.0);

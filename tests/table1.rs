@@ -26,7 +26,7 @@ fn all_predictions_within_six_percent_of_real() {
             let app_p = (spec.build)(KernelParams::scaled(cpus, SCALE));
             let real_p = pipeline::real_run(&app_p, cpus).unwrap().wall_time;
             let real_speedup = real_1.nanos() as f64 / real_p.nanos() as f64;
-            let (pred_speedup, _) = pipeline::record_and_predict(&app_p, cpus).unwrap();
+            let pred_speedup = pipeline::record_and_predict(&app_p, cpus).unwrap().speedup();
             let err = (real_speedup - pred_speedup).abs() / real_speedup;
             if err > worst.0 {
                 worst = (err, format!("{} @{}p", spec.name, cpus));
@@ -49,8 +49,7 @@ fn speedup_ordering_matches_the_paper() {
     let mut speedups = std::collections::BTreeMap::new();
     for spec in splash2_suite() {
         let app = (spec.build)(KernelParams::scaled(8, SCALE));
-        let (s, _) = pipeline::record_and_predict(&app, 8).unwrap();
-        speedups.insert(spec.name, s);
+        speedups.insert(spec.name, pipeline::record_and_predict(&app, 8).unwrap().speedup());
     }
     assert!(speedups["Radix"] > speedups["Ocean"]);
     assert!(speedups["Water-Spatial"] > speedups["Ocean"]);
