@@ -16,12 +16,14 @@
 //!    equals, byte for byte, the one produced by a control server that
 //!    never crashed.
 //!
-//! Usage: `crash_smoke [--points N]` (default 48, floor 40). Offline,
+//! Usage: `crash_smoke [--points N] [--scratch DIR]` (default 48 points,
+//! floor 40; stores under the system temp dir). A flag it does not read
+//! exits 2 with the usage before any server starts. Offline,
 //! deterministic, no flaky sleeps: kills happen between synchronous
 //! client calls or at exact write ordinals.
 
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use vppb_recorder::{record, RecordOptions};
 use vppb_testkit::httpc::{HttpClient, ServerProc};
@@ -165,20 +167,10 @@ fn metric_u64(v: &serde::Value, path: &[&str]) -> u64 {
     }
 }
 
-/// Scratch root for store dirs: `--scratch DIR` (CI points this into the
-/// workspace so failures upload the surviving stores as artifacts), else
-/// the system temp dir. Stores are deleted on success, kept on failure.
-fn scratch_root() -> PathBuf {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--scratch")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
-        .unwrap_or_else(std::env::temp_dir)
-}
-
-fn scratch(tag: &str) -> PathBuf {
-    let dir = scratch_root().join(format!("vppb-crash-{}-{tag}", std::process::id()));
+/// A fresh store dir under `root`. Stores are deleted on success, kept
+/// on failure.
+fn scratch(root: &Path, tag: &str) -> PathBuf {
+    let dir = root.join(format!("vppb-crash-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create scratch root");
     dir
@@ -209,12 +201,13 @@ struct KillPoint {
 
 fn run_kill_point(
     bin: &str,
+    root: &Path,
     point: &KillPoint,
     ops: &[Op],
     control: &HashMap<String, Vec<u8>>,
     tag: &str,
 ) {
-    let store = scratch(&format!("p{}-{}", point.upto, point.torn_write.unwrap_or(0)));
+    let store = scratch(root, &format!("p{}-{}", point.upto, point.torn_write.unwrap_or(0)));
     let store_arg = store.to_str().unwrap().to_string();
     let fault = point.torn_write.map(|n| format!("torn-write={n}"));
     let env: Vec<(&str, &str)> = match &fault {
@@ -281,21 +274,23 @@ fn verify_restart(
     let _ = http.request("POST", "/shutdown", b"");
 }
 
+const USAGE: &str = "usage: crash_smoke [--points N] [--scratch DIR]";
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    let points: usize = args
-        .iter()
-        .position(|a| a == "--points")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("bad --points value"))
-        .unwrap_or(48)
-        .max(40);
+    let flags =
+        vppb_bench::parse_flags(std::env::args().skip(1), USAGE, &[], &["--points", "--scratch"]);
+    let flag = |name: &str| flags.get(name).cloned().flatten();
+    let points: usize =
+        flag("--points").map(|v| v.parse().expect("bad --points value")).unwrap_or(48).max(40);
+    // CI points `--scratch` into the workspace so failures upload the
+    // surviving stores as artifacts.
+    let root = flag("--scratch").map(PathBuf::from).unwrap_or_else(std::env::temp_dir);
     let bin = vppb_bin();
     let ops = script();
 
     // Control run: a server that never crashes sees the whole script;
     // its prediction for every acked content id is the reference.
-    let control_store = scratch("control");
+    let control_store = scratch(&root, "control");
     let control_server = ServerProc::spawn(&bin, &["--store", control_store.to_str().unwrap()]);
     let http = control_server.client();
     let mut control_acked = Acked::default();
@@ -329,7 +324,7 @@ fn main() -> ExitCode {
             Some(n) => format!("point {i} (torn-write={n})"),
             None => format!("point {i} (after op {})", point.upto),
         };
-        run_kill_point(&bin, point, &ops, &control, &tag);
+        run_kill_point(&bin, &root, point, &ops, &control, &tag);
         eprintln!("crash_smoke: {tag} — recovered clean");
     }
     eprintln!(

@@ -18,6 +18,9 @@
 //! serve_bench --fast --check --baseline BENCH_serve.json
 //! ```
 //!
+//! A flag it does not read exits 2 with the usage before any server
+//! starts.
+//!
 //! The run **fails** (panic, non-zero exit) if any request gets a 5xx —
 //! the server is provisioned with a deep queue, so sheds are
 //! regressions here — or any socket errors mid-run. `--check` adds the
@@ -33,7 +36,7 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 use vppb_model::binlog;
 use vppb_recorder::{record, RecordOptions};
-use vppb_testkit::httpc::{HttpClient, ServerProc};
+use vppb_testkit::httpc::{parse_framed, HttpClient, ServerProc};
 use vppb_workloads::{splash, KernelParams};
 
 /// Client reactor threads; connections are split evenly across them.
@@ -123,13 +126,19 @@ struct ThreadStats {
     server_5xx: u64,
 }
 
+const USAGE: &str = "usage: serve_bench [--fast] [--check --baseline FILE] [--clients N] \
+                     [--duration-s S] [--out FILE]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let fast = args.iter().any(|a| a == "--fast");
-    let check = args.iter().any(|a| a == "--check");
-    let flag = |name: &str| -> Option<String> {
-        args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
-    };
+    let flags = vppb_bench::parse_flags(
+        std::env::args().skip(1),
+        USAGE,
+        &["--fast", "--check"],
+        &["--clients", "--duration-s", "--out", "--baseline"],
+    );
+    let fast = flags.contains_key("--fast");
+    let check = flags.contains_key("--check");
+    let flag = |name: &str| flags.get(name).cloned().flatten();
     let clients: usize = flag("--clients")
         .map(|v| v.parse().expect("--clients"))
         .unwrap_or(if fast { 200 } else { 10_000 });
@@ -405,7 +414,7 @@ fn drive(
         // Accumulate the response.
         let mut chunk = [0u8; 4096];
         let complete = loop {
-            if let Some((status, total)) = framed_response(&conn.rbuf) {
+            if let Some(((status, _, _), total)) = parse_framed(&conn.rbuf) {
                 break Some((status, total));
             }
             match conn.stream.read(&mut chunk) {
@@ -440,24 +449,6 @@ fn drive(
         conn.rbuf.drain(..total);
         conn.awaiting = false; // closed loop: fire the next request
     }
-}
-
-/// A complete `content-length`-framed response at the front of `buf`:
-/// `(status, total_bytes)`.
-fn framed_response(buf: &[u8]) -> Option<(u16, usize)> {
-    let head_end = buf.windows(4).position(|w| w == b"\r\n\r\n")?;
-    let head = std::str::from_utf8(&buf[..head_end]).ok()?;
-    let mut lines = head.split("\r\n");
-    let status: u16 = lines.next()?.split(' ').nth(1)?.parse().ok()?;
-    let length: usize = lines
-        .filter_map(|l| l.split_once(':'))
-        .find(|(k, _)| k.trim().eq_ignore_ascii_case("content-length"))?
-        .1
-        .trim()
-        .parse()
-        .ok()?;
-    let total = head_end + 4 + length;
-    (buf.len() >= total).then_some((status, total))
 }
 
 fn connect_with_retry(addr: std::net::SocketAddr) -> TcpStream {

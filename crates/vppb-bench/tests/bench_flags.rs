@@ -1,6 +1,6 @@
-//! The baseline-producing bench binaries refuse arguments they do not
-//! read: each exits 2 with its usage before measuring, and writes no
-//! report (a report is only ever written to the `--out` file).
+//! The CI-gate bench binaries refuse arguments they do not read: each
+//! exits 2 with its usage before measuring or starting a server, and
+//! writes no report (a report is only ever written to the `--out` file).
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -15,7 +15,14 @@ fn empty_dir(name: &str) -> PathBuf {
 
 fn assert_refused(bin: &str, name: &str, args: &[&str]) {
     let dir = empty_dir(name);
-    let out = Command::new(bin).args(args).current_dir(&dir).output().expect("run bench binary");
+    // A server binary that cannot start: a bin that got past its flags
+    // would fail to spawn it and exit 101, not 2.
+    let out = Command::new(bin)
+        .args(args)
+        .current_dir(&dir)
+        .env("VPPB_BIN", dir.join("no-such-vppb"))
+        .output()
+        .expect("run bench binary");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{name} {args:?}: {stderr}");
     assert!(stderr.contains("usage:"), "{name} {args:?} prints its usage: {stderr}");
@@ -38,4 +45,18 @@ fn stream_smoke_refuses_flags_it_does_not_read() {
     assert_refused(bin, "stream_smoke-help", &["--help"]);
     assert_refused(bin, "stream_smoke-unknown", &["--fast", "--check"]);
     assert_refused(bin, "stream_smoke-no-value", &["--out"]);
+}
+
+#[test]
+fn serve_bench_refuses_flags_it_does_not_read() {
+    let bin = env!("CARGO_BIN_EXE_serve_bench");
+    assert_refused(bin, "serve_bench-misspelt", &["--fsat"]);
+    assert_refused(bin, "serve_bench-no-value", &["--fast", "--clients"]);
+}
+
+#[test]
+fn crash_smoke_refuses_flags_it_does_not_read() {
+    let bin = env!("CARGO_BIN_EXE_crash_smoke");
+    assert_refused(bin, "crash_smoke-unknown", &["--points", "40", "--fast"]);
+    assert_refused(bin, "crash_smoke-no-value", &["--scratch"]);
 }

@@ -34,7 +34,10 @@
 //!
 //! Both directions are linear and copy-free. Decoding borrows the input:
 //! the header, each record frame and the incremental [`next_frame`] path
-//! all read the caller's bytes in place through a slice cursor. Encoding
+//! all read the caller's bytes in place through a slice cursor, and one
+//! frame reader tells every v2 reader what sits at a frame boundary — a
+//! complete frame, a short tail, a truncated frame or an implausible
+//! length — so each torn-tail warning is written once. Encoding
 //! writes every record straight into one buffer sized up front, filling
 //! in each v2 length prefix once its body is written, and returns that
 //! buffer trimmed to its length.
@@ -50,13 +53,13 @@ use crate::trace::{LogHeader, TraceLog, TraceRecord};
 use crate::VppbError;
 use bytes::{Buf, BufMut};
 
-const MAGIC: &[u8; 4] = b"VPPB";
+pub(crate) const MAGIC: &[u8; 4] = b"VPPB";
 /// Current write version (length-prefixed records).
 pub const VERSION: u16 = 2;
 /// Oldest version [`decode`] still reads.
 pub const MIN_VERSION: u16 = 1;
 /// Upper bound on a sane record body; lengths beyond this are damage.
-pub(crate) const MAX_RECORD_LEN: u32 = 1 << 20;
+const MAX_RECORD_LEN: u32 = 1 << 20;
 
 // Record tags. Keep stable: this is an on-disk format.
 const T_START_COLLECT: u8 = 0;
@@ -391,59 +394,18 @@ fn decode_modes(data: &[u8], lenient: bool) -> Result<(TraceLog, Vec<Diagnostic>
     let mut seq = 0u64;
     if version >= 2 {
         // Length-prefixed records: damage is skippable.
-        while buf.has_remaining() {
-            let at = pos(buf);
-            if buf.remaining() < 4 {
-                let d = Diagnostic::error(
-                    DiagCode::TruncatedRecord,
-                    at,
-                    format!("{} trailing bytes cannot hold a record length", buf.remaining()),
-                );
-                if !lenient {
-                    return Err(d.into());
+        let mut offset = total - buf.remaining();
+        while offset < total {
+            let (frame, end) = match read_frame(data, offset) {
+                Ok(frame) => frame,
+                Err(torn) if lenient => {
+                    diags.push(torn.diagnostic(offset, true));
+                    break;
                 }
-                diags.push(Diagnostic::warning(
-                    DiagCode::DroppedPartialRecord,
-                    at,
-                    "trailing bytes too short for a record length; dropped".to_string(),
-                ));
-                break;
-            }
-            let len = buf.get_u32_le();
-            if len == 0 || len > MAX_RECORD_LEN {
-                let d = Diagnostic::error(
-                    DiagCode::BadRecordLength,
-                    at,
-                    format!("record length {len} is outside 1..={MAX_RECORD_LEN}"),
-                );
-                if !lenient {
-                    return Err(d.into());
-                }
-                diags.push(Diagnostic::warning(
-                    DiagCode::DroppedPartialRecord,
-                    at,
-                    format!("implausible record length {len}; rest of log dropped"),
-                ));
-                break;
-            }
-            if (buf.remaining() as u64) < len as u64 {
-                let d = Diagnostic::error(
-                    DiagCode::TruncatedRecord,
-                    at,
-                    format!("record claims {len} bytes but only {} remain", buf.remaining()),
-                );
-                if !lenient {
-                    return Err(d.into());
-                }
-                diags.push(Diagnostic::warning(
-                    DiagCode::DroppedPartialRecord,
-                    at,
-                    format!("final record truncated ({} of {len} bytes); dropped", buf.remaining()),
-                ));
-                break;
-            }
-            let (frame, rest) = buf.split_at(len as usize);
-            buf = rest;
+                Err(torn) => return Err(torn.diagnostic(offset, false).into()),
+            };
+            let at = Pos::Byte(offset as u64);
+            offset = end;
             let mut body = frame;
             match parse_record_body(&mut body, prev_us, seq) {
                 Ok((record, new_prev)) => {
@@ -600,37 +562,99 @@ pub enum FrameStep {
 
 /// Decode the frame at byte offset `at`, if completely present.
 pub fn next_frame(data: &[u8], at: usize, prev_us: u64, seq: u64) -> FrameStep {
-    let remaining = data.len() - at;
-    if remaining == 0 {
-        return FrameStep::Tail(None);
-    }
-    if remaining < 4 {
-        return FrameStep::Tail(Some(Diagnostic::warning(
-            DiagCode::DroppedPartialRecord,
-            Pos::Byte(at as u64),
-            "trailing bytes too short for a record length; dropped".to_string(),
-        )));
-    }
-    let len = u32::from_le_bytes([data[at], data[at + 1], data[at + 2], data[at + 3]]);
-    if len == 0 || len > MAX_RECORD_LEN {
-        return FrameStep::Damage;
-    }
-    let body_start = at + 4;
-    if data.len() - body_start < len as usize {
-        return FrameStep::Tail(Some(Diagnostic::warning(
-            DiagCode::DroppedPartialRecord,
-            Pos::Byte(at as u64),
-            format!("final record truncated ({} of {len} bytes); dropped", data.len() - body_start),
-        )));
-    }
-    let end = body_start + len as usize;
-    let mut body = &data[body_start..end];
+    let (mut body, end) = match read_frame(data, at) {
+        Ok(frame) => frame,
+        Err(Torn::ShortTail { have: 0 }) => return FrameStep::Tail(None),
+        Err(Torn::Implausible { .. }) => return FrameStep::Damage,
+        Err(torn) => return FrameStep::Tail(Some(torn.diagnostic(at, true))),
+    };
     match parse_record_body(&mut body, prev_us, seq) {
         Ok((rec, new_prev)) if !body.has_remaining() => {
             FrameStep::Record { rec: Box::new(rec), end, prev_us: new_prev }
         }
         _ => FrameStep::Damage,
     }
+}
+
+/// Why no complete v2 frame starts at a frame boundary.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Torn {
+    /// Fewer than the four bytes of a length remain.
+    ShortTail { have: usize },
+    /// A plausible length whose body runs past the end of the buffer.
+    Truncated { len: u32, have: usize },
+    /// A length of zero or beyond [`MAX_RECORD_LEN`].
+    Implausible { len: u32 },
+}
+
+/// Read the v2 frame at byte offset `at` (at most `data.len()`): its body
+/// and the offset just past it, or why there is none. The decoders, the
+/// incremental [`next_frame`] path and the chunk framer all read frames
+/// through this one function.
+pub(crate) fn read_frame(data: &[u8], at: usize) -> Result<(&[u8], usize), Torn> {
+    let rest = &data[at..];
+    let Some((prefix, rest)) = rest.split_first_chunk::<4>() else {
+        return Err(Torn::ShortTail { have: rest.len() });
+    };
+    let len = u32::from_le_bytes(*prefix);
+    if len == 0 || len > MAX_RECORD_LEN {
+        return Err(Torn::Implausible { len });
+    }
+    match rest.get(..len as usize) {
+        Some(body) => Ok((body, at + 4 + body.len())),
+        None => Err(Torn::Truncated { len, have: rest.len() }),
+    }
+}
+
+impl Torn {
+    /// The strict decoder's error for this frame at `at`, or, when
+    /// `lenient`, the warning with which the lenient decoder drops the
+    /// rest of the log.
+    fn diagnostic(self, at: usize, lenient: bool) -> Diagnostic {
+        use DiagCode::{BadRecordLength, DroppedPartialRecord, TruncatedRecord};
+        let pos = Pos::Byte(at as u64);
+        let dropped = |message: String| Diagnostic::warning(DroppedPartialRecord, pos, message);
+        match (self, lenient) {
+            (Torn::ShortTail { .. }, true) => {
+                dropped("trailing bytes too short for a record length; dropped".to_string())
+            }
+            (Torn::ShortTail { have }, false) => Diagnostic::error(
+                TruncatedRecord,
+                pos,
+                format!("{have} trailing bytes cannot hold a record length"),
+            ),
+            (Torn::Truncated { len, have }, true) => {
+                dropped(format!("final record truncated ({have} of {len} bytes); dropped"))
+            }
+            (Torn::Truncated { len, have }, false) => Diagnostic::error(
+                TruncatedRecord,
+                pos,
+                format!("record claims {len} bytes but only {have} remain"),
+            ),
+            (Torn::Implausible { len }, true) => {
+                dropped(format!("implausible record length {len}; rest of log dropped"))
+            }
+            (Torn::Implausible { len }, false) => Diagnostic::error(
+                BadRecordLength,
+                pos,
+                format!("record length {len} is outside 1..={MAX_RECORD_LEN}"),
+            ),
+        }
+    }
+}
+
+/// Where the first record frame of a framed (v2 or later) binary log
+/// starts: just past its magic, version and length-prefixed JSON header,
+/// which is not parsed. `None` for any other buffer, or one that ends
+/// inside its header.
+pub(crate) fn frames_start(data: &[u8]) -> Option<usize> {
+    if !data.starts_with(MAGIC) {
+        return None;
+    }
+    let version = u16::from_le_bytes(*data.get(4..)?.first_chunk()?);
+    let header_len = u32::from_le_bytes(*data.get(6..)?.first_chunk()?) as usize;
+    let start = 10usize.checked_add(header_len)?;
+    (version >= 2 && start <= data.len()).then_some(start)
 }
 
 /// Best-effort read of a record body's time delta (micros), used to keep

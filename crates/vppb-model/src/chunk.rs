@@ -14,23 +14,25 @@
 //! can survive.
 
 use crate::binlog;
+use crate::LogFormat;
 
 /// Byte positions `p` (0 < p ≤ len) where `bytes[..p]` ends exactly at a
 /// record boundary. The final position `len` is always included for
 /// non-empty input. Text logs break after every newline; binlog v2 breaks
-/// after the header and after every length-prefixed frame. Formats without
+/// after the header and after every length-prefixed frame, up to the first
+/// frame that is torn or carries an implausible length. Formats without
 /// interior framing (JSON, binlog v1, unrecognized bytes) get only the
 /// final boundary.
 pub fn record_boundaries(bytes: &[u8]) -> Vec<usize> {
     if bytes.is_empty() {
         return Vec::new();
     }
-    let mut out = if bytes.starts_with(b"VPPB") {
-        binlog_boundaries(bytes)
-    } else if bytes.first() == Some(&b'{') {
-        Vec::new() // JSON: a single indivisible document
-    } else {
-        bytes.iter().enumerate().filter(|(_, &b)| b == b'\n').map(|(i, _)| i + 1).collect()
+    let mut out = match LogFormat::sniff(bytes) {
+        LogFormat::Binary => binlog_boundaries(bytes),
+        LogFormat::Json => Vec::new(), // a single indivisible document
+        LogFormat::Text => {
+            bytes.iter().enumerate().filter(|(_, &b)| b == b'\n').map(|(i, _)| i + 1).collect()
+        }
     };
     if out.last() != Some(&bytes.len()) {
         out.push(bytes.len());
@@ -39,30 +41,11 @@ pub fn record_boundaries(bytes: &[u8]) -> Vec<usize> {
 }
 
 fn binlog_boundaries(bytes: &[u8]) -> Vec<usize> {
-    let mut out = Vec::new();
-    // magic(4) + version(2) + header-length(4) + header.
-    if bytes.len() < 10 {
-        return out;
-    }
-    let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-    if version < 2 {
-        return out; // v1 records carry no length prefix
-    }
-    let header_len = u32::from_le_bytes([bytes[6], bytes[7], bytes[8], bytes[9]]) as usize;
-    let mut pos = match 10usize.checked_add(header_len) {
-        Some(p) if p <= bytes.len() => p,
-        _ => return out,
+    let Some(mut pos) = binlog::frames_start(bytes) else {
+        return Vec::new(); // v1 records carry no length prefix; or a torn header
     };
-    out.push(pos);
-    while pos + 4 <= bytes.len() {
-        let len = u32::from_le_bytes([bytes[pos], bytes[pos + 1], bytes[pos + 2], bytes[pos + 3]]);
-        if len > binlog::MAX_RECORD_LEN {
-            return out; // damaged frame; no boundaries beyond it
-        }
-        let Some(end) = pos.checked_add(4 + len as usize) else { return out };
-        if end > bytes.len() {
-            return out; // torn trailing frame
-        }
+    let mut out = vec![pos];
+    while let Ok((_, end)) = binlog::read_frame(bytes, pos) {
         pos = end;
         out.push(pos);
     }
@@ -150,6 +133,15 @@ mod tests {
     #[test]
     fn json_is_indivisible() {
         assert_eq!(record_boundaries(b"{\"x\":1}"), vec![7]);
+        assert_eq!(record_boundaries(b"\n {\"x\":1}\n"), vec![10]);
+    }
+
+    #[test]
+    fn a_zero_length_frame_ends_the_binary_boundaries() {
+        let frame = |body: &[u8]| [&(body.len() as u32).to_le_bytes()[..], body].concat();
+        let head = [&b"VPPB"[..], &2u16.to_le_bytes(), &2u32.to_le_bytes(), b"{}"].concat();
+        let log = [head, frame(b"abc"), frame(b""), frame(b"z")].concat();
+        assert_eq!(record_boundaries(&log), vec![12, 19, log.len()]);
     }
 
     #[test]

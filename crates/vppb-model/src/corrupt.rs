@@ -17,11 +17,10 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+use crate::LogFormat;
 use std::fmt;
 use std::ops::Range;
 
-/// Magic prefix of binary logs (kept in sync with `binlog`).
-const BIN_MAGIC: &[u8; 4] = b"VPPB";
 /// Frame size used when a payload has no recognizable structure.
 const CHUNK: usize = 16;
 
@@ -127,14 +126,16 @@ pub struct Framing {
 
 /// Compute format-aware framing for `bytes`.
 ///
-/// Text logs frame by lines (newline included), binary v2 logs by their
-/// `u32` record length prefixes; binary v1 and unrecognized payloads fall
-/// back to fixed [`CHUNK`]-byte frames.
+/// Text (and JSON) logs frame by lines (newline included), binary v2 logs
+/// by their `u32` record length prefixes; binary v1 and unrecognized
+/// payloads fall back to fixed [`CHUNK`]-byte frames. Unlike the decoder's
+/// frame reader, the binary walk accepts any length, so damage it frames
+/// is damage the decoder must survive.
 pub fn framing(bytes: &[u8]) -> Framing {
-    if bytes.starts_with(BIN_MAGIC) {
-        return bin_framing(bytes);
+    match LogFormat::sniff(bytes) {
+        LogFormat::Binary => bin_framing(bytes),
+        LogFormat::Json | LogFormat::Text => text_framing(bytes),
     }
-    text_framing(bytes)
 }
 
 fn bin_framing(bytes: &[u8]) -> Framing {

@@ -58,6 +58,8 @@ pub enum DiagCode {
     BadToken,
     /// A routine is missing a required `key=` field.
     MissingField,
+    /// A text or JSON log holds bytes that are not UTF-8.
+    InvalidUtf8,
     // ---- binary decode ----------------------------------------------------
     /// The file does not start with the `VPPB` magic.
     BadMagic,
@@ -166,6 +168,7 @@ impl DiagCode {
             UnknownRoutine => "E0105",
             BadToken => "E0106",
             MissingField => "E0107",
+            InvalidUtf8 => "E0108",
             BadMagic => "E0201",
             UnsupportedVersion => "E0202",
             TruncatedHeader => "E0203",
@@ -356,6 +359,7 @@ mod tests {
             UnknownRoutine,
             BadToken,
             MissingField,
+            InvalidUtf8,
             BadMagic,
             UnsupportedVersion,
             TruncatedHeader,

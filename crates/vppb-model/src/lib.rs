@@ -48,5 +48,5 @@ pub use salvage::{salvage, salvage_traced, SalvageEdit, SalvageReport};
 pub use source::{CodeAddr, SourceLoc, SourceMap};
 pub use store::{ContentStore, RecoveryReport};
 pub use time::{parse_time, Duration, Time};
-pub use trace::{LogHeader, TraceLog, TraceRecord};
+pub use trace::{LogFormat, LogHeader, TraceLog, TraceRecord};
 pub use vfs::{FaultSpec, FaultVfs, RealVfs, Vfs};

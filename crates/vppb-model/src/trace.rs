@@ -59,6 +59,33 @@ pub struct LogHeader {
     pub source_map: SourceMap,
 }
 
+/// The three encodings a serialized [`TraceLog`] comes in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LogFormat {
+    /// The compact `binlog` codec.
+    Binary,
+    /// One JSON document.
+    Json,
+    /// The fig. 2-style `textlog` lines.
+    Text,
+}
+
+impl LogFormat {
+    /// Tell the format from the first bytes: the binary magic, else a
+    /// JSON brace after any leading whitespace, else text. The loaders,
+    /// the chunk framer and the chaos mutators all ask this one function,
+    /// so they never disagree on what a buffer is.
+    pub fn sniff(data: &[u8]) -> LogFormat {
+        if data.starts_with(crate::binlog::MAGIC) {
+            LogFormat::Binary
+        } else if data.iter().find(|b| !b.is_ascii_whitespace()) == Some(&b'{') {
+            LogFormat::Json
+        } else {
+            LogFormat::Text
+        }
+    }
+}
+
 /// A complete recorded log: header plus the sequentially ordered records.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TraceLog {

@@ -17,11 +17,12 @@
 //!   validation hands it to [`vppb_model::salvage`], returning the log
 //!   together with every diagnostic and salvage edit.
 
+use std::borrow::Cow;
 use std::fs;
 use std::io::Write;
 use std::path::Path;
 use vppb_model::salvage::{salvage_traced, SalvageReport};
-use vppb_model::{binlog, textlog, Diagnostic, TraceLog, VppbError};
+use vppb_model::{binlog, textlog, DiagCode, Diagnostic, LogFormat, Pos, TraceLog, VppbError};
 
 /// Write `bytes` to `path` atomically: temp file, fsync, rename.
 fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), VppbError> {
@@ -61,41 +62,53 @@ pub fn save_bin(log: &TraceLog, path: impl AsRef<Path>) -> Result<(), VppbError>
     atomic_write(path.as_ref(), &binlog::encode(log)?)
 }
 
-/// The three on-disk formats.
-enum Format {
-    Binary,
-    Json,
-    Text,
-}
-
-/// Tell the format from the first bytes: the binary magic, else a JSON
-/// brace after any leading whitespace, else text. Strict and lenient
-/// loads share it, so they never disagree on what a file is.
-fn sniff(data: &[u8]) -> Format {
-    if data.starts_with(b"VPPB") {
-        Format::Binary
-    } else if data.iter().find(|b| !b.is_ascii_whitespace()) == Some(&b'{') {
-        Format::Json
-    } else {
-        Format::Text
-    }
-}
-
 /// Parse a JSON log. JSON is all-or-nothing: serde either parses the
 /// value or not, so strict and lenient loads both use this.
 fn parse_json(text: &str) -> Result<TraceLog, VppbError> {
     serde_json::from_str(text).map_err(|e| VppbError::MalformedLog(format!("json: {e}")))
 }
 
+/// The text of a text or JSON log: the one place that decides its
+/// encoding. Invalid UTF-8 fails a strict load with a diagnostic naming
+/// the line and byte of the first bad sequence; a lenient load replaces
+/// each bad sequence with U+FFFD and warns once for each line it touched.
+fn decode_text(data: &[u8], lenient: bool) -> Result<(Cow<'_, str>, Vec<Diagnostic>), VppbError> {
+    if let Ok(text) = std::str::from_utf8(data) {
+        return Ok((Cow::Borrowed(text), Vec::new()));
+    }
+    let mut text = String::with_capacity(data.len());
+    let mut diags: Vec<Diagnostic> = Vec::new();
+    let (mut line, mut at) = (1, 0);
+    for chunk in data.utf8_chunks() {
+        text.push_str(chunk.valid());
+        line += chunk.valid().bytes().filter(|&b| b == b'\n').count();
+        at += chunk.valid().len();
+        if chunk.invalid().is_empty() {
+            continue;
+        }
+        let pos = Pos::Line(line as u32);
+        let message = format!("invalid UTF-8 sequence at byte {at}");
+        if !lenient {
+            return Err(Diagnostic::error(DiagCode::InvalidUtf8, pos, message).into());
+        }
+        if diags.last().map(|d| d.pos) != Some(pos) {
+            let message = message + "; replaced with U+FFFD";
+            diags.push(Diagnostic::warning(DiagCode::InvalidUtf8, pos, message));
+        }
+        text.push(char::REPLACEMENT_CHARACTER);
+        at += chunk.invalid().len();
+    }
+    Ok((Cow::Owned(text), diags))
+}
+
 /// Read a log of any format strictly: sniffed like [`load_lenient`],
 /// decoded with no recovery, and validated. Any damage is an error.
 pub fn load(path: impl AsRef<Path>) -> Result<TraceLog, VppbError> {
     let data = fs::read(path)?;
-    let text = || std::str::from_utf8(&data).map_err(|e| VppbError::Io(e.to_string()));
-    let log = match sniff(&data) {
-        Format::Binary => binlog::decode(&data)?,
-        Format::Json => parse_json(text()?)?,
-        Format::Text => textlog::parse_log(text()?)?,
+    let log = match LogFormat::sniff(&data) {
+        LogFormat::Binary => binlog::decode(&data)?,
+        LogFormat::Json => parse_json(&decode_text(&data, false)?.0)?,
+        LogFormat::Text => textlog::parse_log(&decode_text(&data, false)?.0)?,
     };
     log.validate()?;
     Ok(log)
@@ -144,10 +157,19 @@ pub fn load_lenient_bytes(data: &[u8]) -> Result<LoadedLog, VppbError> {
 /// thread did after them) as provisional: a later append can replace a
 /// synthetic unlock/exit tail with the real continuation.
 pub fn load_lenient_traced(data: &[u8]) -> Result<(LoadedLog, Vec<usize>), VppbError> {
-    let (mut log, diagnostics) = match sniff(data) {
-        Format::Binary => binlog::decode_lenient(data)?,
-        Format::Json => (parse_json(&String::from_utf8_lossy(data))?, Vec::new()),
-        Format::Text => textlog::parse_log_lenient(&String::from_utf8_lossy(data)),
+    let (mut log, diagnostics) = match LogFormat::sniff(data) {
+        LogFormat::Binary => binlog::decode_lenient(data)?,
+        LogFormat::Json => {
+            let (text, diagnostics) = decode_text(data, true)?;
+            (parse_json(&text)?, diagnostics)
+        }
+        LogFormat::Text => {
+            // Replaced bytes are reported ahead of what the parser found.
+            let (text, mut diagnostics) = decode_text(data, true)?;
+            let (log, parsed) = textlog::parse_log_lenient(&text);
+            diagnostics.extend(parsed);
+            (log, diagnostics)
+        }
     };
     let (salvage_report, synthetic) = match log.validate() {
         Ok(()) => (SalvageReport::default(), Vec::new()),
@@ -262,6 +284,34 @@ mod tests {
         let path = dir.join("bad.vppb");
         fs::write(&path, "0.000000 T1 Q wat @0x0\n").unwrap();
         assert!(matches!(load(&path), Err(VppbError::Diag(_))));
+    }
+
+    #[test]
+    fn invalid_utf8_fails_strictly_at_its_line_and_warns_once_per_line_leniently() {
+        let log = sample_log();
+        let text = textlog::write_log(&log);
+        let (head, rest) = text.split_at(text.find('\n').unwrap() + 1);
+        let mut bytes = head.as_bytes().to_vec();
+        let bad = bytes.len() + "# note ".len();
+        bytes.extend_from_slice(b"# note \xff\xfe\n# again \xff\n");
+        bytes.extend_from_slice(rest.as_bytes());
+        let dir = std::env::temp_dir().join("vppb-test-utf8");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bad-utf8.vppb");
+        fs::write(&path, &bytes).unwrap();
+
+        match load(&path) {
+            Err(VppbError::Diag(d)) => {
+                assert_eq!((d.code, d.pos), (DiagCode::InvalidUtf8, Pos::Line(2)));
+                assert!(d.message.ends_with(&format!("byte {bad}")), "{}", d.message);
+            }
+            other => panic!("expected a positioned diagnostic, got {other:?}"),
+        }
+        let loaded = load_lenient(&path).unwrap();
+        let found: Vec<_> = loaded.diagnostics.iter().map(|d| (d.code, d.pos)).collect();
+        let utf8 = DiagCode::InvalidUtf8;
+        assert_eq!(found, [(utf8, Pos::Line(2)), (utf8, Pos::Line(3))]);
+        assert_eq!(loaded.log, log, "the replaced bytes sat in comments");
     }
 
     #[test]

@@ -36,6 +36,9 @@ use crate::persist::{Durability, DurabilityStats, StartupReport};
 /// Entries the result memo holds before being wholesale cleared (the memo
 /// is a pure optimization: clearing costs one recompute per key).
 const RESULT_MEMO_CAP: usize = 8192;
+/// The longest `delay_ms` a predict request may ask for: a worker sleeps
+/// that long, and a graceful drain waits for it.
+const MAX_DELAY_MS: u64 = 10_000;
 
 /// A service-level failure, mapped onto an HTTP status by the server.
 #[derive(Debug)]
@@ -141,7 +144,8 @@ pub struct PredictRequest {
     /// User-level scheduling model, `"solaris"` (default) or `"async"`.
     pub model: ModelKind,
     /// Test/ops knob: hold the worker this long before predicting, to
-    /// make deadlines and backpressure observable deterministically.
+    /// make deadlines and backpressure observable deterministically. At
+    /// most 10 s; a longer hold is a bad request.
     pub delay_ms: u64,
     /// Test knob: arm the engine's panic fault after N events — the
     /// request must die with a 500 while the server keeps serving.
@@ -250,7 +254,8 @@ pub struct SweepRequest {
     pub comm_delay_us: Option<Vec<u64>>,
     /// Scheduling models: `"solaris"` and/or `"async"` (default: solaris).
     pub model: Option<Vec<String>>,
-    /// Worker threads for the sweep (0 = all cores).
+    /// Worker threads for the sweep (0 = all cores; more than the cores
+    /// runs on all cores).
     pub jobs: usize,
 }
 
@@ -674,8 +679,12 @@ impl PredictionService {
             .map(|l| l.header.program.clone())
             .ok_or_else(|| ServeError::Internal("no parse state".into()))?;
         let (current, params) = (stream.current, SimParams::cpus(cpus));
+        let key = (current, params.fingerprint());
+        if let Some(hit) = self.memo_hit(key) {
+            return Ok(hit);
+        }
         // Follow runs stay out of the `/metrics` scheduling rollup.
-        self.predict_content(current, &current.to_string(), &program, &params, |p, _| {
+        self.predict_content(key, &current.to_string(), &program, &params, |p, _| {
             let r = stream.session.predict(p)?;
             Ok(Replay {
                 wall: r.wall_time,
@@ -695,20 +704,32 @@ impl PredictionService {
     }
 
     /// Serve one prediction. Returns the response and where it came from.
+    /// A memo hit answers without reading the stored log.
     pub fn predict(
         &self,
         req: &PredictRequest,
     ) -> Result<(Arc<PredictResponse>, CacheHit), ServeError> {
+        if req.delay_ms > MAX_DELAY_MS {
+            return Err(ServeError::BadRequest(format!(
+                "delay_ms {} exceeds the {MAX_DELAY_MS} ms cap",
+                req.delay_ms
+            )));
+        }
         let id = self.parse_id(&req.id)?;
-        let stored = self.stored(id)?;
         if req.delay_ms > 0 {
             // Documented test/ops knob; occupies the worker like a long
             // replay would, making queue backpressure deterministic.
             std::thread::sleep(std::time::Duration::from_millis(req.delay_ms));
         }
+        let params = req.params();
+        let key = (id, params.fingerprint());
+        if let Some(hit) = self.memo_hit(key) {
+            return Ok(hit);
+        }
+        let stored = self.stored(id)?;
         let log = &stored.log;
         let mut plan = None;
-        self.predict_content(id, &req.id, &log.header.program, &req.params(), |params, rollup| {
+        self.predict_content(key, &req.id, &log.header.program, &params, |params, rollup| {
             // The plan is looked up once, and only on a memo miss.
             if plan.is_none() {
                 plan = Some(self.plans.get_or_build(id, || analyze(log))?.0);
@@ -729,36 +750,28 @@ impl PredictionService {
         })
     }
 
-    /// The one prediction path behind [`Self::predict`] and
-    /// [`Self::predict_follow`]: memo lookup, the memoized 1-CPU reference
-    /// wall, the response (echoing `id` and `program`), counters and
-    /// memoization. `replay(params, rollup)` runs `content` once under
-    /// `params`, and collects scheduling counters for the `/metrics`
-    /// rollup when `rollup` asks and its path feeds the rollup; the
-    /// reference run never asks.
+    /// The one memo-miss path behind [`Self::predict`] and
+    /// [`Self::predict_follow`], each of which first tries
+    /// [`Self::memo_hit`] on `key` (content id, params fingerprint): the
+    /// memoized 1-CPU reference wall, the response (echoing `id` and
+    /// `program`), counters and memoization. `replay(params, rollup)` runs
+    /// the content once under `params`, and collects scheduling counters
+    /// for the `/metrics` rollup when `rollup` asks and its path feeds the
+    /// rollup; the reference run never asks.
     fn predict_content(
         &self,
-        content: ContentId,
+        key: (ContentId, u64),
         id: &str,
         program: &str,
         params: &SimParams,
         mut replay: impl FnMut(&SimParams, bool) -> Result<Replay, VppbError>,
     ) -> Result<(Arc<PredictResponse>, CacheHit), ServeError> {
-        let key = (content, params.fingerprint());
-        if let Some((hit, from_disk)) =
-            self.results.lock().expect("results lock").get(&key).cloned()
-        {
-            let mut c = self.counters.lock().expect("counters lock");
-            c.predictions += 1;
-            c.result_hits += 1;
-            return Ok((hit, if from_disk { CacheHit::Disk } else { CacheHit::Memory }));
-        }
         self.counters.lock().expect("counters lock").result_misses += 1;
 
         let internal = |e: VppbError| ServeError::Internal(e.to_string());
         // Copy out of the guard: a guard in the match scrutinee would
         // live across the `None` arm and deadlock on the re-lock below.
-        let uni_key = (content, params.machine.model);
+        let uni_key = (key.0, params.machine.model);
         let memoized_uni = self.uni_walls.lock().expect("uni lock").get(&uni_key).copied();
         let uni_wall = match memoized_uni {
             Some(w) => Time(w),
@@ -794,6 +807,16 @@ impl PredictionService {
         }
         self.memoize(key, &response);
         Ok((response, CacheHit::Miss))
+    }
+
+    /// The memoized response under `key`, counted as a hit, and whether it
+    /// was restored from disk.
+    fn memo_hit(&self, key: (ContentId, u64)) -> Option<(Arc<PredictResponse>, CacheHit)> {
+        let (hit, from_disk) = self.results.lock().expect("results lock").get(&key).cloned()?;
+        let mut c = self.counters.lock().expect("counters lock");
+        c.predictions += 1;
+        c.result_hits += 1;
+        Some((hit, if from_disk { CacheHit::Disk } else { CacheHit::Memory }))
     }
 
     /// Memoize a freshly computed response and spill it to the journal.
@@ -848,7 +871,10 @@ impl PredictionService {
             .plans
             .get_or_build(id, || analyze(&stored.log))
             .map_err(|e| ServeError::Internal(e.to_string()))?;
-        let outcome = sweep_plan(&plan, &stored.log, &configs, req.jobs)
+        // One request gets at most a thread per core (0 already means
+        // all of them), however many unique cells its grid has.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let outcome = sweep_plan(&plan, &stored.log, &configs, req.jobs.min(cores))
             .map_err(|e| ServeError::Internal(e.to_string()))?;
         {
             let mut c = self.counters.lock().expect("counters lock");
@@ -1066,6 +1092,31 @@ mod tests {
     }
 
     #[test]
+    fn one_request_holds_at_most_a_thread_per_core_and_ten_seconds() {
+        let svc = PredictionService::new(1 << 20);
+        let up = svc.upload(&recorded_bytes()).unwrap();
+        let sweep = svc
+            .sweep(&SweepRequest {
+                id: up.id.clone(),
+                cpus: (1..=16).collect(),
+                lwps: None,
+                comm_delay_us: None,
+                model: None,
+                jobs: 16,
+            })
+            .unwrap();
+        assert_eq!((sweep.points.len(), sweep.unique_runs), (16, 16));
+        let cores = std::thread::available_parallelism().unwrap().get();
+        assert!(sweep.workers <= cores, "{} workers on {cores} cores", sweep.workers);
+
+        let started = std::time::Instant::now();
+        let over_cap = PredictRequest { delay_ms: 10_001, ..PredictRequest::new(&up.id, 2) };
+        let err = svc.predict(&over_cap).unwrap_err();
+        assert_eq!(err.status(), 400, "{}", err.message());
+        assert!(started.elapsed() < std::time::Duration::from_secs(5), "refused without sleeping");
+    }
+
+    #[test]
     fn append_rekeys_content_and_follow_matches_cold_predict() {
         let svc = PredictionService::new(1 << 20);
         let bytes = recorded_bytes();
@@ -1254,6 +1305,7 @@ mod tests {
             pre_restart,
             "restored response must be byte-identical"
         );
+        assert!(svc.logs.lock().unwrap().is_empty(), "a memo hit reads no stored log");
         // The log itself also survived: an unmemoized configuration
         // recomputes from the stored bytes.
         let (_, hit) = svc.predict(&PredictRequest::new(&id, 3)).unwrap();

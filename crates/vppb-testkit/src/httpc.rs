@@ -1,7 +1,8 @@
 //! A deliberately small blocking HTTP/1.1 client for driving `vppb
 //! serve` from tests, benches and the chaos harness — std sockets only.
 //!
-//! Two things the ad-hoc per-suite clients never had:
+//! Every response is framed one way, by its `content-length` (the server
+//! always sends one). On top of that framing:
 //!
 //! * **timeouts everywhere** — connect, read and write are all bounded,
 //!   so a wedged server fails a test instead of hanging it;
@@ -21,6 +22,12 @@ use std::net::{SocketAddr, TcpStream};
 use std::process::{Child, ChildStdout, Command, Stdio};
 use std::time::Duration;
 
+/// Bound on every connect.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
+/// Socket read/write bound of an [`HttpClient`] request: cold predictions
+/// on debug builds are slow.
+const IO_TIMEOUT: Duration = Duration::from_secs(120);
+
 /// One parsed response: `(status, lowercased headers, body)`.
 pub type RawResponse = (u16, Vec<(String, String)>, Vec<u8>);
 
@@ -29,28 +36,20 @@ pub fn header<'h>(headers: &'h [(String, String)], name: &str) -> Option<&'h str
     headers.iter().find(|(k, _)| k == name).map(|(_, v)| v.as_str())
 }
 
-/// The client: an address plus its timeout/retry policy.
+/// The client: an address plus its retry policy. Each attempt is one
+/// `connection: close` request on a fresh [`KeepAliveClient`].
 #[derive(Debug, Clone)]
 pub struct HttpClient {
     addr: SocketAddr,
-    /// Per-attempt connect timeout.
-    pub connect_timeout: Duration,
-    /// Socket read/write timeout once connected.
-    pub io_timeout: Duration,
     /// Transport-failure retries after the first attempt.
     pub retries: u32,
 }
 
 impl HttpClient {
-    /// A client with test-friendly defaults: 2 s connects, 120 s reads
-    /// (cold predictions on debug builds are slow), 3 retries.
+    /// A client with test-friendly defaults: 2 s connects, 120 s reads,
+    /// 3 retries.
     pub fn new(addr: SocketAddr) -> HttpClient {
-        HttpClient {
-            addr,
-            connect_timeout: Duration::from_secs(2),
-            io_timeout: Duration::from_secs(120),
-            retries: 3,
-        }
+        HttpClient { addr, retries: 3 }
     }
 
     /// Same client, different retry budget (0 disables retry entirely).
@@ -83,20 +82,12 @@ impl HttpClient {
     }
 
     fn attempt(&self, method: &str, path: &str, body: &[u8]) -> io::Result<RawResponse> {
-        let mut stream = TcpStream::connect_timeout(&self.addr, self.connect_timeout)?;
-        stream.set_read_timeout(Some(self.io_timeout))?;
-        stream.set_write_timeout(Some(self.io_timeout))?;
-        let head = format!(
-            "{method} {path} HTTP/1.1\r\nhost: vppb\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
-            body.len()
-        );
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(body)?;
-        stream.flush()?;
-        let mut raw = Vec::new();
-        stream.read_to_end(&mut raw)?;
-        parse_response(&raw)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "unparseable HTTP response"))
+        KeepAliveClient::connect(self.addr, IO_TIMEOUT)?.request_with_headers(
+            method,
+            path,
+            body,
+            &[("connection", "close")],
+        )
     }
 }
 
@@ -120,7 +111,7 @@ impl KeepAliveClient {
     /// Connect once; the socket then serves every request until the
     /// server (or a `connection: close` request) ends it.
     pub fn connect(addr: SocketAddr, io_timeout: Duration) -> io::Result<KeepAliveClient> {
-        let stream = TcpStream::connect_timeout(&addr, Duration::from_secs(2))?;
+        let stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)?;
         stream.set_read_timeout(Some(io_timeout))?;
         stream.set_write_timeout(Some(io_timeout))?;
         stream.set_nodelay(true)?;
@@ -198,16 +189,20 @@ pub fn encode_request(method: &str, path: &str, body: &[u8], headers: &[(&str, &
 }
 
 /// Parse one complete `content-length`-framed response from the front
-/// of `buf`; `None` until enough bytes have arrived.
-fn parse_framed(buf: &[u8]) -> Option<(RawResponse, usize)> {
+/// of `buf`, and the bytes it took; `None` until enough bytes have
+/// arrived, or when the head does not parse.
+pub fn parse_framed(buf: &[u8]) -> Option<(RawResponse, usize)> {
     let head_end = buf.windows(4).position(|w| w == b"\r\n\r\n")?;
-    let (status, headers, _) = parse_response(&buf[..head_end + 4])?;
+    let head = std::str::from_utf8(&buf[..head_end]).ok()?;
+    let mut lines = head.split("\r\n");
+    let status: u16 = lines.next()?.split(' ').nth(1)?.parse().ok()?;
+    let headers: Vec<(String, String)> = lines
+        .filter_map(|l| l.split_once(':'))
+        .map(|(k, v)| (k.trim().to_ascii_lowercase(), v.trim().to_string()))
+        .collect();
     let length: usize = header(&headers, "content-length")?.parse().ok()?;
     let total = head_end + 4 + length;
-    if buf.len() < total {
-        return None;
-    }
-    let body = buf[head_end + 4..total].to_vec();
+    let body = buf.get(head_end + 4..total)?.to_vec();
     Some(((status, headers, body), total))
 }
 
@@ -226,18 +221,6 @@ fn seeded_backoff(addr: SocketAddr, attempt: u32, seed: u32) -> Duration {
     h ^= h >> 7;
     h ^= h << 17;
     Duration::from_millis(25 * attempt as u64 + h % 25)
-}
-
-fn parse_response(raw: &[u8]) -> Option<RawResponse> {
-    let head_end = raw.windows(4).position(|w| w == b"\r\n\r\n")?;
-    let head = std::str::from_utf8(&raw[..head_end]).ok()?;
-    let mut lines = head.split("\r\n");
-    let status: u16 = lines.next()?.split(' ').nth(1)?.parse().ok()?;
-    let headers = lines
-        .filter_map(|l| l.split_once(':'))
-        .map(|(k, v)| (k.trim().to_ascii_lowercase(), v.trim().to_string()))
-        .collect();
-    Some((status, headers, raw[head_end + 4..].to_vec()))
 }
 
 /// A running `vppb serve` child process: the scraped bound address, the
@@ -323,10 +306,10 @@ mod tests {
 
     #[test]
     fn parses_headers_and_body() {
-        let raw =
-            b"HTTP/1.1 503 Service Unavailable\r\nRetry-After: 2\r\nX-Vppb-Request: r-9\r\n\r\n{}";
-        let (status, headers, body) = parse_response(raw).unwrap();
-        assert_eq!(status, 503);
+        let raw = b"HTTP/1.1 503 Service Unavailable\r\nRetry-After: 2\r\n\
+                    X-Vppb-Request: r-9\r\nContent-Length: 2\r\n\r\n{}";
+        let ((status, headers, body), used) = parse_framed(raw).unwrap();
+        assert_eq!((status, used), (503, raw.len()));
         assert_eq!(header(&headers, "retry-after"), Some("2"));
         assert_eq!(header(&headers, "x-vppb-request"), Some("r-9"));
         assert_eq!(body, b"{}");

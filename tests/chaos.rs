@@ -1,9 +1,10 @@
-//! Chaos harness over the full ingestion pipeline.
+//! Chaos harness over the full ingestion pipeline — the only one: CI runs
+//! it in the `test` job, in debug, where integer overflow panics too.
 //!
 //! Every test here records a real workload, serializes it, damages the
 //! bytes with the seeded mutators from `vppb_model::corrupt`, and drives
 //! the result through `load_lenient_bytes` → `validate` → `simulate`.
-//! The contract under test is the robustness story of the PR: **any**
+//! The contract under test is the robustness story of ingestion: **any**
 //! input either loads (possibly after reported salvage) or is rejected
 //! with a diagnostic — the pipeline never panics, and whatever it
 //! salvages is structurally valid and simulable without crashing.
@@ -25,13 +26,23 @@ fn encodings(log: &TraceLog) -> Vec<(&'static str, Vec<u8>)> {
     ]
 }
 
+/// What the pipeline made of one input that kept the contract.
+enum Outcome {
+    /// Loaded with no recovery at all.
+    Pristine,
+    /// Loaded after reported recovery.
+    Salvaged,
+    /// Refused with an error.
+    Rejected,
+}
+
 /// Feed one (possibly damaged) byte buffer through load → validate →
 /// simulate, panicking the test with a reproducible message on any
 /// contract violation.
-fn exercise(bytes: &[u8], what: &str) {
+fn exercise(bytes: &[u8], what: &str) -> Outcome {
     let loaded = match quiet(|| load_lenient_bytes(bytes)) {
         Err(panic) => panic!("{what}: load panicked: {panic}"),
-        Ok(Err(_diagnostic)) => return, // rejected with an error — allowed
+        Ok(Err(_diagnostic)) => return Outcome::Rejected, // allowed
         Ok(Ok(loaded)) => loaded,
     };
     // Whatever the salvager let through must be structurally sound.
@@ -42,6 +53,11 @@ fn exercise(bytes: &[u8], what: &str) {
     // legitimate outcome for semantically damaged logs).
     if let Err(panic) = quiet(|| simulate(&loaded.log, &SimParams::cpus(4))) {
         panic!("{what}: simulate panicked on salvaged log: {panic}");
+    }
+    if loaded.is_pristine() {
+        Outcome::Pristine
+    } else {
+        Outcome::Salvaged
     }
 }
 
@@ -112,6 +128,36 @@ fn compound_mutation_chaos_sweep_never_panics() {
     if let Err(msg) = result {
         panic!("{msg}");
     }
+}
+
+/// 1,200 cases at a fixed seed, escalating: case `c` damages encoding
+/// `c % 3` with `1 + c % 3` stacked mutations. The outcome tally is
+/// pinned, so a change in what ingestion accepts shows up here. (Twenty
+/// of the salvaged mutants report nothing but bytes that are not UTF-8,
+/// which a lenient load replaces with one warning per line.)
+#[test]
+fn escalating_chaos_sweep_tally_is_pinned() {
+    const SEED: u64 = 427_819_824;
+    let encodings = encodings(&recorded_log());
+    let _hook = SilencedPanicHook::install();
+    let result = quiet(|| {
+        let mut tally = [0u32; 3];
+        for case in 0..1200u64 {
+            let (format, pristine) = &encodings[(case % 3) as usize];
+            let mut bytes = pristine.clone();
+            let mut rng = ChaosRng::new(SEED + case);
+            let applied: Vec<String> = (0..1 + case % 3)
+                .map(|_| corrupt::mutate(&mut bytes, &mut rng).to_string())
+                .collect();
+            let what =
+                format!("case {case} [{format}] seed {} ({})", SEED + case, applied.join(" + "));
+            tally[exercise(&bytes, &what) as usize] += 1;
+        }
+        tally
+    });
+    drop(_hook);
+    let [pristine, salvaged, rejected] = result.unwrap_or_else(|msg| panic!("{msg}"));
+    assert_eq!((pristine, salvaged, rejected), (92, 458, 650), "pristine, salvaged, rejected");
 }
 
 #[test]

@@ -377,6 +377,48 @@ fn check_json_output_is_clean_on_stdout() {
 }
 
 #[test]
+fn invalid_utf8_in_a_text_log_is_reported_at_its_line() {
+    let dir = tmpdir("bad-utf8");
+    let log = dir.join("lu.vppb");
+    let log_s = log.to_str().unwrap();
+    let (ok, _, stderr) = vppb(&["record", "lu", "--threads", "2", "--scale", "0.05", "-o", log_s]);
+    assert!(ok, "{stderr}");
+    // A comment line that is not UTF-8, as line 2.
+    let text = std::fs::read(&log).unwrap();
+    let line2 = text.iter().position(|&b| b == b'\n').unwrap() + 1;
+    let at = line2 + "# note ".len();
+    let bad = [&text[..line2], b"# note \xff\xfe\n", &text[line2..]].concat();
+    std::fs::write(&log, bad).unwrap();
+
+    // Lenient: the bytes are replaced, with a warning naming the line.
+    let (code, stdout, stderr) = vppb_code(&["check", log_s]);
+    assert_eq!(code, 1, "stdout: {stdout}\nstderr: {stderr}");
+    assert!(stderr.contains("warning[E0108]") && stderr.contains("(line 2)"), "{stderr}");
+
+    // Strict: a positioned diagnostic naming the line and the byte.
+    let (code, stdout, _) = vppb_code(&["check", log_s, "--strict", "--json"]);
+    assert_eq!(code, 2);
+    #[derive(serde::Deserialize)]
+    struct Diag {
+        code: String,
+        pos: std::collections::BTreeMap<String, u32>,
+        message: String,
+    }
+    #[derive(serde::Deserialize)]
+    struct Dump {
+        diagnostics: Vec<Diag>,
+    }
+    let dump: Dump = serde_json::from_str(stdout.trim()).expect("stdout is pure JSON");
+    let [d] = &dump.diagnostics[..] else { panic!("one diagnostic: {stdout}") };
+    assert_eq!((d.code.as_str(), d.pos.get("Line")), ("InvalidUtf8", Some(&2)), "{stdout}");
+    assert!(d.message.ends_with(&format!("at byte {at}")), "{stdout}");
+
+    let (code, _, stderr) = vppb_code(&["predict", log_s, "--cpus", "2"]);
+    assert_eq!(code, 2);
+    assert!(stderr.contains("error[E0108]") && stderr.contains("(line 2)"), "{stderr}");
+}
+
+#[test]
 fn lenient_predict_salvages_with_exit_one_and_clean_audit() {
     let (bytes, _, dir) = recorded_bin("lenient-predict");
     let cut = dir.join("cut.vppbb");
