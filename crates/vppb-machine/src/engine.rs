@@ -584,13 +584,6 @@ impl Lwps {
         self.last_thread.push(None);
         lix
     }
-
-    /// Whether time-slicing can be skipped for this LWP (nothing else can
-    /// ever need its CPU slot): never true in general — placeholder for a
-    /// future optimization, always slices for now.
-    fn dedicated_solo(&self, _lix: Lix) -> bool {
-        false
-    }
 }
 
 #[derive(Clone)]
@@ -924,6 +917,12 @@ impl<'a, 'o> Engine<'a, 'o> {
         }
     }
 
+    /// Place ready LWPs on CPUs until nothing changes: fill idle CPUs
+    /// lowest index first, then try one preemption. The lowest-index fill
+    /// is an invariant callers rely on: a run that never holds more than
+    /// `L` LWPs only ever occupies CPUs `0..L` and never preempts, so it
+    /// is step for step the same on any machine with at least `L` CPUs
+    /// (the sweep folds such CPU counts into one replay).
     fn dispatch(&mut self) -> Result<(), VppbError> {
         loop {
             self.attach_parked();
@@ -1156,7 +1155,7 @@ impl<'a, 'o> Engine<'a, 'o> {
                     // dedicated (bound-thread) LWPs, which stay ordinary
                     // kernel-scheduled LWPs in every model.
                     let coop = self.model.cooperative() && !self.lwps.dedicated[l];
-                    let stop = if self.cfg.time_slicing && !coop && !self.lwps.dedicated_solo(l) {
+                    let stop = if self.cfg.time_slicing && !coop {
                         Duration::from_nanos(total.nanos().min(self.lwps.quantum_left[l].nanos()))
                     } else {
                         total

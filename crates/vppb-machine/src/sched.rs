@@ -137,12 +137,13 @@ impl SchedModel for SolarisTs {
 /// The async-executor policy: M:N work-stealing deques.
 #[derive(Debug, Clone, Default)]
 pub struct AsyncPool {
-    /// Worker slot → LWP handle, in registration order.
-    workers: Vec<usize>,
     /// LWP handle → worker slot (sparse).
     worker_of: Vec<Option<usize>>,
-    /// Per-worker local deques.
+    /// Per-worker local deques, indexed by slot (registration order).
     locals: Vec<VecDeque<usize>>,
+    /// Bit `w` is set exactly when `locals[w]` is non-empty, so a steal
+    /// finds its victim without walking every empty deque.
+    nonempty: Vec<u64>,
     /// Shared injector for wakeups with no worker affinity.
     injector: VecDeque<usize>,
     len: usize,
@@ -157,12 +158,46 @@ impl AsyncPool {
     fn slot_of(&self, lix: usize) -> Option<usize> {
         self.worker_of.get(lix).copied().flatten()
     }
+
+    /// Clear worker `w`'s non-empty bit if its deque has emptied.
+    fn clear_if_empty(&mut self, w: usize) {
+        if self.locals[w].is_empty() {
+            self.nonempty[w / 64] &= !(1 << (w % 64));
+        }
+    }
+
+    /// Take the oldest task of worker `w`'s deque.
+    fn pop_local(&mut self, w: usize) -> Option<usize> {
+        let t = self.locals[w].pop_front()?;
+        self.clear_if_empty(w);
+        self.len -= 1;
+        Some(t)
+    }
+
+    /// The first non-empty slot at or after `start`, wrapping once
+    /// around the slot table (a `start` past the last slot wraps to 0).
+    fn next_nonempty(&self, start: usize) -> Option<usize> {
+        let start = if start < self.locals.len() { start } else { 0 };
+        let (word, bit) = (start / 64, start % 64);
+        let first = self.nonempty.get(word).map_or(0, |&m| m & (!0 << bit));
+        if first != 0 {
+            return Some(word * 64 + first.trailing_zeros() as usize);
+        }
+        let n = self.nonempty.len();
+        (1..=n).map(|k| (word + k) % n).find_map(|i| {
+            let m = self.nonempty[i];
+            (m != 0).then(|| i * 64 + m.trailing_zeros() as usize)
+        })
+    }
 }
 
 impl SchedModel for AsyncPool {
     fn push(&mut self, tix: usize, _prio: i32, front: bool, local: Option<usize>) {
         let q = match local.and_then(|lix| self.slot_of(lix)) {
-            Some(w) => &mut self.locals[w],
+            Some(w) => {
+                self.nonempty[w / 64] |= 1 << (w % 64);
+                &mut self.locals[w]
+            }
             None => &mut self.injector,
         };
         if front {
@@ -174,14 +209,13 @@ impl SchedModel for AsyncPool {
     }
 
     fn pop_for(&mut self, lix: usize) -> Option<usize> {
-        let n = self.workers.len();
+        if self.len == 0 {
+            return None;
+        }
         let w = self.slot_of(lix);
         // Own deque first.
-        if let Some(w) = w {
-            if let Some(t) = self.locals[w].pop_front() {
-                self.len -= 1;
-                return Some(t);
-            }
+        if let Some(t) = w.and_then(|w| self.pop_local(w)) {
+            return Some(t);
         }
         // Then the shared injector.
         if let Some(t) = self.injector.pop_front() {
@@ -190,19 +224,10 @@ impl SchedModel for AsyncPool {
         }
         // Then steal, visiting victims in ascending wrapping slot order
         // starting just after our own slot (a non-worker LWP starts at
-        // slot 0). Steals take the victim's oldest task (front).
-        let start = w.map_or(0, |w| w + 1);
-        for k in 0..n {
-            let v = (start + k) % n.max(1);
-            if Some(v) == w {
-                continue;
-            }
-            if let Some(t) = self.locals[v].pop_front() {
-                self.len -= 1;
-                return Some(t);
-            }
-        }
-        None
+        // slot 0). Our own deque is empty by now, so the first non-empty
+        // slot from there is the victim. Steals take its oldest task.
+        let v = self.next_nonempty(w.map_or(0, |w| w + 1))?;
+        self.pop_local(v)
     }
 
     fn remove(&mut self, tix: usize) -> bool {
@@ -211,9 +236,10 @@ impl SchedModel for AsyncPool {
             self.len -= 1;
             return true;
         }
-        for q in &mut self.locals {
-            if let Some(pos) = q.iter().position(|&t| t == tix) {
-                q.remove(pos);
+        for w in 0..self.locals.len() {
+            if let Some(pos) = self.locals[w].iter().position(|&t| t == tix) {
+                self.locals[w].remove(pos);
+                self.clear_if_empty(w);
                 self.len -= 1;
                 return true;
             }
@@ -238,9 +264,11 @@ impl SchedModel for AsyncPool {
             self.worker_of.resize(lix + 1, None);
         }
         debug_assert!(self.worker_of[lix].is_none(), "LWP {lix} registered twice");
-        self.worker_of[lix] = Some(self.workers.len());
-        self.workers.push(lix);
+        self.worker_of[lix] = Some(self.locals.len());
         self.locals.push(VecDeque::new());
+        if self.locals.len() > self.nonempty.len() * 64 {
+            self.nonempty.push(0);
+        }
     }
 
     fn clone_box(&self) -> Box<dyn SchedModel> {
@@ -324,6 +352,80 @@ mod tests {
         // LWP 9 was never registered (e.g. a transiently-created pool LWP
         // under FollowProgram growth); it must still drain work.
         assert_eq!(m.pop_for(9), Some(1));
+    }
+
+    /// The steal scan before the non-empty bitmask: every slot in
+    /// ascending wrapping order from just after the thief's own.
+    fn naive_pop(
+        locals: &mut [VecDeque<usize>],
+        injector: &mut VecDeque<usize>,
+        w: Option<usize>,
+    ) -> Option<usize> {
+        if let Some(t) = w.and_then(|w| locals[w].pop_front()) {
+            return Some(t);
+        }
+        if let Some(t) = injector.pop_front() {
+            return Some(t);
+        }
+        let n = locals.len();
+        let start = w.map_or(0, |w| w + 1);
+        (0..n)
+            .map(|k| (start + k) % n)
+            .filter(|&v| Some(v) != w)
+            .find_map(|v| locals[v].pop_front())
+    }
+
+    #[test]
+    fn async_steal_matches_a_naive_scan_across_bitmask_words() {
+        let mut rng = vppb_model::corrupt::ChaosRng::new(0xA5_7EA1);
+        for round in 0..300 {
+            let workers = 1 + rng.below(130);
+            // Registered LWP handles are sparse and include a few past
+            // the last worker, which act as unregistered thieves.
+            let lix = |w: usize| 3 * w + 1;
+            let mut m = AsyncPool::new();
+            for w in 0..workers {
+                m.register_worker(lix(w));
+            }
+            let mut locals = vec![VecDeque::new(); workers];
+            let mut injector = VecDeque::new();
+            let mut next_task = 0;
+            for step in 0..400 {
+                let w = rng.below(workers + 2);
+                let slot = (w < workers).then_some(w);
+                let what = format!("round {round} ({workers} workers) step {step}");
+                match rng.below(10) {
+                    0..=4 => {
+                        let front = rng.below(4) == 0;
+                        let local = rng.below(3) != 0;
+                        m.push(next_task, 0, front, Some(lix(w)).filter(|_| local));
+                        let q = match slot.filter(|_| local) {
+                            Some(s) => &mut locals[s],
+                            None => &mut injector,
+                        };
+                        if front {
+                            q.push_front(next_task);
+                        } else {
+                            q.push_back(next_task);
+                        }
+                        next_task += 1;
+                    }
+                    5..=8 => {
+                        let want = naive_pop(&mut locals, &mut injector, slot);
+                        assert_eq!(m.pop_for(lix(w)), want, "{what}: pop");
+                    }
+                    _ => {
+                        let t = rng.below(next_task.max(1));
+                        let queued = injector.contains(&t) || locals.iter().any(|q| q.contains(&t));
+                        injector.retain(|&x| x != t);
+                        locals.iter_mut().for_each(|q| q.retain(|&x| x != t));
+                        assert_eq!(m.remove(t), queued, "{what}: remove {t}");
+                    }
+                }
+                let len = injector.len() + locals.iter().map(VecDeque::len).sum::<usize>();
+                assert_eq!(m.len(), len, "{what}: len");
+            }
+        }
     }
 
     #[test]

@@ -285,7 +285,7 @@ pub struct SweepResponse {
     pub program: String,
     /// Predicted 1-CPU wall time the speed-ups divide by, ns.
     pub uni_wall_ns: u64,
-    /// Distinct configurations simulated after deduplication.
+    /// Distinct runs simulated ([`vppb_sim::SweepOutcome::unique_runs`]).
     pub unique_runs: usize,
     /// Worker threads used.
     pub workers: usize,
@@ -1095,17 +1095,19 @@ mod tests {
     fn one_request_holds_at_most_a_thread_per_core_and_ten_seconds() {
         let svc = PredictionService::new(1 << 20);
         let up = svc.upload(&recorded_bytes()).unwrap();
+        // Sixteen distinct cells (CPU counts above the program's four
+        // threads would fold into one run), plus the 1-CPU reference.
         let sweep = svc
             .sweep(&SweepRequest {
                 id: up.id.clone(),
-                cpus: (1..=16).collect(),
+                cpus: vec![2],
                 lwps: None,
-                comm_delay_us: None,
+                comm_delay_us: Some((0..16).collect()),
                 model: None,
                 jobs: 16,
             })
             .unwrap();
-        assert_eq!((sweep.points.len(), sweep.unique_runs), (16, 16));
+        assert_eq!((sweep.points.len(), sweep.unique_runs), (16, 17));
         let cores = std::thread::available_parallelism().unwrap().get();
         assert!(sweep.workers <= cores, "{} workers on {cores} cores", sweep.workers);
 

@@ -37,4 +37,4 @@ pub use sorter::{analyze, analyze_with_stability};
 pub use stream::{
     check_chunked_equivalence, cold_run, result_fingerprint, PlanState, StreamSession,
 };
-pub use sweep::{sweep, sweep_plan, SweepConfig, SweepGrid, SweepOutcome, SweepPoint};
+pub use sweep::{lwp_bound, sweep, sweep_plan, SweepConfig, SweepGrid, SweepOutcome, SweepPoint};

@@ -10,6 +10,14 @@
 //! once; every grid cell still gets its row in the resulting speed-up
 //! surface.
 //!
+//! Cells that cannot differ share a run too. A replay that never holds
+//! more than `L` LWPs at once ([`lwp_bound`]) occupies only CPUs `0..L`
+//! (the engine fills idle CPUs lowest index first) and never preempts,
+//! so on any CPU count above `L` it is step for step the run on `L`
+//! CPUs. Each cell's CPU count is therefore folded to `min(cpus, L)`
+//! before it is fingerprinted; its row still reports its own CPU count,
+//! and its utilization is computed over that many CPUs.
+//!
 //! A cell records no timeline: a sweep reports each configuration's wall
 //! time, utilization, DES cost and audit verdict, and nothing reads a
 //! cell's trace. The audit stays complete without one (the CPU-occupancy
@@ -26,7 +34,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use vppb_machine::{run, RunOptions, RunResult};
-use vppb_model::{Duration, LwpPolicy, ModelKind, SimParams, Time, TraceLog, VppbError};
+use vppb_model::{Binding, Duration, LwpPolicy, ModelKind, SimParams, Time, TraceLog, VppbError};
+use vppb_threads::{Action, LibCall};
 
 /// One labeled cell of a sweep grid.
 #[derive(Debug, Clone)]
@@ -134,8 +143,10 @@ pub struct SweepPoint {
     pub des_events: u64,
     /// Whether the conservation-law audit came back clean.
     pub audit_clean: bool,
-    /// Whether this cell was a fingerprint-duplicate of an earlier one
-    /// (simulated once, reported per cell).
+    /// Whether this cell shares its run with an earlier cell or the
+    /// 1-CPU reference: it has the same fingerprint, or it asks for more
+    /// CPUs than its replay can hold LWPs and folds onto the run at that
+    /// bound (simulated once, reported per cell).
     pub deduplicated: bool,
     /// Why this cell has no prediction: the error (or panic, contained by
     /// the worker's unwind boundary) its replay died with. `None` for a
@@ -150,8 +161,9 @@ pub struct SweepOutcome {
     pub points: Vec<SweepPoint>,
     /// Predicted 1-CPU wall time the speed-ups are relative to.
     pub uni_wall: Time,
-    /// Distinct configurations actually simulated (after dedup; includes
-    /// the 1-CPU reference if it wasn't part of the grid).
+    /// Distinct configurations actually simulated (after dedup and the
+    /// fold of CPU counts above the LWP bound; includes the 1-CPU
+    /// reference if it wasn't part of the grid).
     pub unique_runs: usize,
     /// Worker threads used.
     pub workers: usize,
@@ -168,16 +180,42 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     }
 }
 
-/// Stable fingerprint of a configuration, for deduplication.
+/// How many `thr_create` calls in `plan` create a bound thread. The
+/// replay binds by the flag on the create op itself.
+fn bound_creates(plan: &ReplayPlan) -> usize {
+    let bound = |op: &&Action| matches!(op, Action::Call(LibCall::Create { bound: true, .. }, _));
+    plan.threads.iter().map(|t| t.ops.iter().filter(bound).count()).sum()
+}
+
+/// The most LWPs a replay of `plan` under `params` can ever hold at
+/// once, or `None` when the plan alone does not bound it. Above this many
+/// CPUs the run cannot change (see the module docs):
 ///
-/// Delegates to [`SimParams::fingerprint`], which hashes every field
-/// explicitly (floats through `f64::to_bits` with `-0.0` and NaN
-/// canonicalized). The previous implementation hashed the derived
-/// `Debug` rendering, which aliased configurations whenever two
-/// distinct values formatted alike (`0.0` vs `-0.0`) and split
-/// identical ones whenever formatting changed.
-fn fingerprint(params: &SimParams) -> u64 {
-    params.fingerprint()
+/// * one LWP per thread: the plan's thread count;
+/// * a fixed pool of `n`: `max(n, 1)` plus one dedicated LWP per thread
+///   created bound or bound to an LWP by a manipulation;
+/// * a pool that follows `thr_setconcurrency`, or any thread bound to a
+///   CPU (its CPU index is part of the schedule): `None`.
+pub fn lwp_bound(plan: &ReplayPlan, params: &SimParams) -> Option<u32> {
+    bound_with(plan, bound_creates(plan), params)
+}
+
+/// [`lwp_bound`], given the plan's [`bound_creates`].
+fn bound_with(plan: &ReplayPlan, bound_creates: usize, params: &SimParams) -> Option<u32> {
+    let mut bound_lwps = 0;
+    for m in params.manips.values() {
+        match m.binding {
+            Some(Binding::BoundCpu(_)) => return None,
+            Some(Binding::BoundLwp) => bound_lwps += 1,
+            _ => {}
+        }
+    }
+    let lwps = match params.machine.lwps {
+        LwpPolicy::FollowProgram => return None,
+        LwpPolicy::PerThread => plan.threads.len(),
+        LwpPolicy::Fixed(n) => n.max(1) as usize + bound_creates + bound_lwps,
+    };
+    Some(u32::try_from(lwps.max(1)).unwrap_or(u32::MAX))
 }
 
 /// Sweep `configs` over `log` on up to `workers` threads (`0` = all
@@ -204,18 +242,27 @@ pub fn sweep_plan(
     // Deduplicate: map each grid cell to a unique job. The 1-CPU
     // reference the speed-ups divide by is itself a job, so it also
     // dedups against a 1-CPU grid cell. It is the Solaris run for every
-    // cell, async ones included: one surface, one denominator.
-    let uni_params = SimParams::cpus(1);
+    // cell, async ones included: one surface, one denominator. A cell
+    // asking for more CPUs than its replay can hold LWPs is interned at
+    // the bound, where its run is the same.
+    let bound_creates = bound_creates(plan);
     let mut jobs: Vec<SimParams> = Vec::new();
     let mut job_of_print: HashMap<u64, usize> = HashMap::new();
     let mut cell_jobs: Vec<usize> = Vec::with_capacity(configs.len());
     let mut intern = |params: &SimParams, jobs: &mut Vec<SimParams>| -> usize {
-        *job_of_print.entry(fingerprint(params)).or_insert_with(|| {
+        let bound = bound_with(plan, bound_creates, params);
+        let folded = bound.filter(|&l| params.machine.cpus > l).map(|l| {
+            let mut p = params.clone();
+            p.machine.cpus = l;
+            p
+        });
+        let params = folded.as_ref().unwrap_or(params);
+        *job_of_print.entry(params.fingerprint()).or_insert_with(|| {
             jobs.push(params.clone());
             jobs.len() - 1
         })
     };
-    let uni_job = intern(&uni_params, &mut jobs);
+    let uni_job = intern(&SimParams::cpus(1), &mut jobs);
     for c in configs {
         cell_jobs.push(intern(&c.params, &mut jobs));
     }
@@ -280,14 +327,16 @@ pub fn sweep_plan(
     let mut points = Vec::with_capacity(configs.len());
     for (cell, &job) in configs.iter().zip(&cell_jobs) {
         let deduplicated = std::mem::replace(&mut seen_job[job], true);
+        let cpus = cell.params.machine.cpus;
         match &results[job] {
             Ok(r) => {
+                // Over the cell's own CPUs: a folded run has fewer.
                 let wall = r.wall_time;
                 let busy: u64 = r.cpu_busy.iter().map(|d| d.nanos()).sum();
-                let capacity = wall.nanos().saturating_mul(r.cpu_busy.len() as u64);
+                let capacity = wall.nanos().saturating_mul(u64::from(cpus));
                 points.push(SweepPoint {
                     label: cell.label.clone(),
-                    cpus: cell.params.machine.cpus,
+                    cpus,
                     model: cell.params.machine.model.name().to_string(),
                     wall_ns: wall.nanos(),
                     speedup: speedup(uni_wall, wall),
@@ -301,7 +350,7 @@ pub fn sweep_plan(
             Err(e) => {
                 points.push(SweepPoint {
                     label: cell.label.clone(),
-                    cpus: cell.params.machine.cpus,
+                    cpus,
                     model: cell.params.machine.model.name().to_string(),
                     wall_ns: 0,
                     speedup: 0.0,

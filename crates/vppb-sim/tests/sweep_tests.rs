@@ -173,6 +173,28 @@ fn identical_configs_are_deduplicated_but_still_reported() {
 }
 
 #[test]
+fn cpu_counts_above_the_lwp_bound_share_the_run_at_the_bound() {
+    // Main and four workers, none bound: at most five LWPs with one per
+    // thread, two with a fixed pool of two.
+    let log = record_app(&fork_join_app(4, 10));
+    let configs = SweepGrid::over_cpus([2, 5, 8, 16])
+        .with_lwps([LwpPolicy::PerThread, LwpPolicy::Fixed(2)])
+        .configs();
+    let outcome = sweep(&log, &configs, 2).expect("sweep");
+    // Per-thread: 8p and 16p fold onto 5p. lwps=2: 5p, 8p and 16p fold
+    // onto 2p.
+    let dedup: Vec<bool> = outcome.points.iter().map(|p| p.deduplicated).collect();
+    assert_eq!(dedup, [false, false, true, true, false, true, true, true]);
+    assert_eq!(outcome.unique_runs, 4, "the reference, 2p and 5p per-thread, 2p lwps=2");
+    // A folded cell still reports its own CPU count, and its utilization
+    // over that many CPUs, as a serial run at that count does.
+    for (config, point) in configs.iter().zip(&outcome.points) {
+        assert_eq!(point.cpus, config.params.machine.cpus);
+        assert_eq!(cell(point), serial_cell(&log, &config.params), "{}", config.label);
+    }
+}
+
+#[test]
 fn sweep_results_are_independent_of_worker_count() {
     let log = record_app(&splash::fft(KernelParams::scaled(4, 0.1)));
     let configs = SweepGrid::over_cpus([1, 2, 4, 8]).configs();
