@@ -27,12 +27,21 @@
 //!
 //! Every edit lands in the [`SalvageReport`], which flows into
 //! `--metrics-json` dumps and `vppb check` output.
+//!
+//! The repairs a torn tail needs — the dangling-BEFORE drop
+//! ([`drop_dangling`]), the per-thread [`HoldLedger`] and its releases and
+//! exit ([`HoldLedger::close`], [`close_threads`]), the record splice
+//! ([`splice`]), the end bracket ([`end_bracket`]), the wall-time clamp
+//! ([`clamp_wall_time`]) and the renumber ([`renumber`]) — are public:
+//! the streaming feed repairs the tail of a growing log by calling the
+//! same functions `salvage_traced` calls, so both paths repair a torn
+//! tail by one set of rules.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::diag::{DiagCode, Diagnostic, Pos};
 use crate::event::{EventKind, EventResult, Phase};
-use crate::ids::{SyncObjId, ThreadId};
+use crate::ids::{ObjKind, SyncObjId, ThreadId};
 use crate::source::CodeAddr;
 use crate::time::Time;
 use crate::trace::{TraceLog, TraceRecord};
@@ -114,11 +123,17 @@ pub fn salvage_traced(log: &mut TraceLog) -> (SalvageReport, Vec<usize>) {
     }
 
     clamp_times(log, &mut report);
-    repair_pairing(log, &mut report);
-    if log.records.is_empty() {
+    let dropped = repair_pairing(log, &mut report);
+    if dropped.len() == log.records.len() {
+        log.records.clear();
         return (report, Vec::new()); // everything was damage
     }
-    synthesize_releases_and_exits(log, &mut report);
+    let inserts = synthesize_releases_and_exits(log, &dropped, &mut report);
+    if !dropped.is_empty() || !inserts.is_empty() {
+        let mut out = Vec::new();
+        splice(&mut out, &log.records, &dropped, &inserts);
+        log.records = out;
+    }
     synthesize_brackets(log, &mut report);
     clamp_wall_time(log, &mut report);
     let synthetic = log
@@ -128,7 +143,7 @@ pub fn salvage_traced(log: &mut TraceLog) -> (SalvageReport, Vec<usize>) {
         .filter(|(_, r)| r.seq == SYNTH_SEQ && r.phase != Phase::Mark)
         .map(|(i, _)| i)
         .collect();
-    renumber(log, &mut report);
+    renumber(log, 0, &mut report);
     (report, synthetic)
 }
 
@@ -149,7 +164,8 @@ fn clamp_times(log: &mut TraceLog, report: &mut SalvageReport) {
 }
 
 /// Pass 2: restore BEFORE/AFTER pairing by dropping unmatched records.
-fn repair_pairing(log: &mut TraceLog, report: &mut SalvageReport) {
+/// Returns the indices of the dropped records, ascending.
+fn repair_pairing(log: &TraceLog, report: &mut SalvageReport) -> Vec<usize> {
     let n = log.records.len();
     let mut keep = vec![true; n];
     // Open BEFORE per thread: (record index, kind).
@@ -220,69 +236,109 @@ fn repair_pairing(log: &mut TraceLog, report: &mut SalvageReport) {
             },
         }
     }
-    // Dangling BEFOREs at the end of the log (other than thr_exit, which
-    // legitimately never returns) are truncation damage.
     for (t, (pi, pkind)) in pending {
-        if pkind != EventKind::ThrExit {
+        if drop_dangling(t, pi, pkind, report) {
             keep[pi] = false;
-            report.push(
-                DiagCode::DroppedDanglingBefore,
-                Pos::Record(pi as u64),
-                format!("{} on {t} truncated before its AFTER; dropped", pkind.name()),
-            );
         }
     }
-    if keep.iter().any(|k| !k) {
-        let mut it = keep.iter();
-        log.records.retain(|_| *it.next().unwrap_or(&true));
-    }
+    keep.iter().enumerate().filter(|(_, k)| !**k).map(|(i, _)| i).collect()
 }
 
-/// Passes 3+4: per-thread lock ledger and exit synthesis. Records are
-/// inserted right after each thread's last record, at its last-seen time,
-/// so timestamps stay monotonic and the replay releases locks exactly
-/// where the thread stopped.
-fn synthesize_releases_and_exits(log: &mut TraceLog, report: &mut SalvageReport) {
-    // Net hold count per (thread, object); mutexes and rwlocks only —
-    // semaphore levels are inferred by the analyzer.
-    let mut held: BTreeMap<(ThreadId, SyncObjId), i64> = BTreeMap::new();
-    let mut last_of: BTreeMap<ThreadId, usize> = BTreeMap::new();
-    let mut exits: BTreeMap<ThreadId, bool> = BTreeMap::new();
-    for (i, r) in log.records.iter().enumerate() {
-        match r.kind {
-            EventKind::StartCollect | EventKind::EndCollect => continue,
-            _ => {}
-        }
-        last_of.insert(r.thread, i);
-        exits.insert(r.thread, r.kind == EventKind::ThrExit);
-        let mut add = |obj: SyncObjId, d: i64| {
-            let e = held.entry((r.thread, obj)).or_insert(0);
-            *e = (*e + d).max(0);
-        };
-        match (r.phase, r.kind, r.result) {
-            (Phase::After, EventKind::MutexLock { obj }, _) => add(obj, 1),
-            (Phase::After, EventKind::MutexTryLock { obj }, EventResult::Acquired(true)) => {
-                add(obj, 1)
-            }
-            (Phase::Before, EventKind::MutexUnlock { obj }, _) => add(obj, -1),
-            (Phase::After, EventKind::RwRdLock { obj }, _)
-            | (Phase::After, EventKind::RwWrLock { obj }, _) => add(obj, 1),
-            (Phase::After, EventKind::RwTryRdLock { obj }, EventResult::Acquired(true))
+/// The tail of pass 2 for one thread: a BEFORE still open at the end of
+/// the log is truncation damage and is dropped — unless it is a
+/// `thr_exit`, which legitimately never returns. Returns whether the
+/// record at index `at` is dropped.
+pub fn drop_dangling(
+    thread: ThreadId,
+    at: usize,
+    kind: EventKind,
+    report: &mut SalvageReport,
+) -> bool {
+    if kind == EventKind::ThrExit {
+        return false;
+    }
+    report.push(
+        DiagCode::DroppedDanglingBefore,
+        Pos::Record(at as u64),
+        format!("{} on {thread} truncated before its AFTER; dropped", kind.name()),
+    );
+    true
+}
+
+/// Pass 3's per-thread ledger over the records a repair keeps: the net
+/// hold count per lock and the thread's last record.
+#[derive(Debug, Clone, Default)]
+pub struct HoldLedger {
+    /// Net hold count per object (mutexes and rwlocks), clamped at zero.
+    held: BTreeMap<SyncObjId, i64>,
+    /// Index and time of the thread's last record, and whether that
+    /// record is a `thr_exit`.
+    last: Option<(usize, Time, bool)>,
+}
+
+impl HoldLedger {
+    /// Account the thread's record at index `at`. Records of one thread
+    /// are accounted in log order.
+    pub fn record(&mut self, at: usize, r: &TraceRecord) {
+        self.last = Some((at, r.time, r.kind == EventKind::ThrExit));
+        let (obj, delta) = match (r.phase, r.kind, r.result) {
+            (Phase::After, EventKind::MutexLock { obj }, _)
+            | (Phase::After, EventKind::MutexTryLock { obj }, EventResult::Acquired(true))
+            | (Phase::After, EventKind::RwRdLock { obj }, _)
+            | (Phase::After, EventKind::RwWrLock { obj }, _)
+            | (Phase::After, EventKind::RwTryRdLock { obj }, EventResult::Acquired(true))
             | (Phase::After, EventKind::RwTryWrLock { obj }, EventResult::Acquired(true)) => {
-                add(obj, 1)
+                (obj, 1)
             }
-            (Phase::Before, EventKind::RwUnlock { obj }, _) => add(obj, -1),
+            (Phase::Before, EventKind::MutexUnlock { obj }, _)
+            | (Phase::Before, EventKind::RwUnlock { obj }, _) => (obj, -1),
             // A cond wait atomically releases and re-acquires its mutex;
             // a *paired* wait is hold-neutral, and a dangling one was
             // already dropped by the pairing repair.
-            _ => {}
-        }
+            _ => return,
+        };
+        let e = self.held.entry(obj).or_insert(0);
+        *e = (*e + delta).max(0);
     }
 
-    // Work out what to insert after each thread's last record.
-    let mut insert_after: BTreeMap<usize, Vec<TraceRecord>> = BTreeMap::new();
-    let mut synth = |thread: ThreadId, at: usize, time: Time, kind: EventKind, phase: Phase| {
-        insert_after.entry(at).or_default().push(TraceRecord {
+    /// Index of the thread's last accounted record.
+    pub fn last(&self) -> Option<usize> {
+        self.last.map(|(at, _, _)| at)
+    }
+
+    /// Whether closing the thread would synthesize a release.
+    pub fn holds_locks(&self) -> bool {
+        self.releases().next().is_some()
+    }
+
+    /// Every lock still held, with its hold count and release kind.
+    fn releases(&self) -> impl Iterator<Item = (SyncObjId, i64, EventKind)> + '_ {
+        self.held.iter().filter(|(_, &count)| count > 0).filter_map(|(&obj, &count)| {
+            let kind = match obj.kind {
+                ObjKind::Mutex => EventKind::MutexUnlock { obj },
+                ObjKind::RwLock => EventKind::RwUnlock { obj },
+                _ => return None,
+            };
+            Some((obj, count, kind))
+        })
+    }
+
+    /// Passes 3+4 for one thread: a release for every lock still held
+    /// and, unless its last record is a `thr_exit`, an exit — all at the
+    /// thread's last-seen time, to be inserted right after its last
+    /// record (which the edits report at index `pos`). Timestamps stay
+    /// monotonic and the replay releases locks exactly where the thread
+    /// stopped.
+    pub fn close(
+        &self,
+        thread: ThreadId,
+        pos: u64,
+        report: &mut SalvageReport,
+    ) -> Vec<TraceRecord> {
+        let Some((_, time, exits)) = self.last else {
+            return Vec::new();
+        };
+        let synth = |kind: EventKind, phase: Phase| TraceRecord {
             seq: SYNTH_SEQ, // marks the record synthetic; renumbered later
             time,
             thread,
@@ -290,55 +346,107 @@ fn synthesize_releases_and_exits(log: &mut TraceLog, report: &mut SalvageReport)
             kind,
             result: EventResult::None,
             caller: CodeAddr::NULL,
-        });
-    };
-    for (&thread, &last) in &last_of {
-        let time = log.records[last].time;
-        for ((t, obj), &count) in held.iter() {
-            if *t != thread || count <= 0 {
-                continue;
-            }
-            let kind = match obj.kind {
-                crate::ids::ObjKind::Mutex => EventKind::MutexUnlock { obj: *obj },
-                crate::ids::ObjKind::RwLock => EventKind::RwUnlock { obj: *obj },
-                _ => continue,
-            };
+        };
+        let mut out = Vec::new();
+        for (obj, count, kind) in self.releases() {
             for _ in 0..count {
-                synth(thread, last, time, kind, Phase::Before);
-                synth(thread, last, time, kind, Phase::After);
+                out.push(synth(kind, Phase::Before));
+                out.push(synth(kind, Phase::After));
             }
             report.push(
                 DiagCode::SynthesizedRelease,
-                Pos::Record(last as u64),
+                Pos::Record(pos),
                 format!("{thread} still held {obj} at its last record; released at {time}"),
             );
         }
-        if !exits.get(&thread).copied().unwrap_or(false) {
-            synth(thread, last, time, EventKind::ThrExit, Phase::Before);
+        if !exits {
+            out.push(synth(EventKind::ThrExit, Phase::Before));
             report.push(
                 DiagCode::SynthesizedExit,
-                Pos::Record(last as u64),
+                Pos::Record(pos),
                 format!("{thread} has no thr_exit; synthesized at last-seen time {time}"),
             );
         }
-    }
-    if insert_after.is_empty() {
-        return;
-    }
-    let old = std::mem::take(&mut log.records);
-    let extra: usize = insert_after.values().map(Vec::len).sum();
-    log.records.reserve(old.len() + extra);
-    for (i, r) in old.into_iter().enumerate() {
-        log.records.push(r);
-        if let Some(mut synths) = insert_after.remove(&i) {
-            log.records.append(&mut synths);
-        }
+        out
     }
 }
 
-/// Pass 5: restore the `start_collect` / `end_collect` brackets.
-fn synthesize_brackets(log: &mut TraceLog, report: &mut SalvageReport) {
-    let mark = |time: Time, kind: EventKind| TraceRecord {
+/// Passes 3+4 over every thread's ledger, in thread order: the records
+/// each thread needs after its last record, keyed by that record's
+/// index. Ledger indices count every record, `dropped` ones (ascending)
+/// included; the edits report positions in the log without them.
+pub fn close_threads(
+    ledgers: &BTreeMap<ThreadId, HoldLedger>,
+    dropped: &[usize],
+    report: &mut SalvageReport,
+) -> BTreeMap<usize, Vec<TraceRecord>> {
+    let mut inserts = BTreeMap::new();
+    for (&thread, ledger) in ledgers {
+        let Some(last) = ledger.last() else { continue };
+        let pos = last - dropped.partition_point(|&d| d < last);
+        let synths = ledger.close(thread, pos as u64, report);
+        if !synths.is_empty() {
+            inserts.insert(last, synths);
+        }
+    }
+    inserts
+}
+
+/// Passes 3+4: a ledger per thread over the records pass 2 kept.
+fn synthesize_releases_and_exits(
+    log: &TraceLog,
+    dropped: &[usize],
+    report: &mut SalvageReport,
+) -> BTreeMap<usize, Vec<TraceRecord>> {
+    let mut ledgers: BTreeMap<ThreadId, HoldLedger> = BTreeMap::new();
+    let mut drops = dropped.iter().copied().peekable();
+    for (i, r) in log.records.iter().enumerate() {
+        if drops.next_if_eq(&i).is_some() {
+            continue;
+        }
+        match r.kind {
+            EventKind::StartCollect | EventKind::EndCollect => continue,
+            _ => ledgers.entry(r.thread).or_default().record(i, r),
+        }
+    }
+    close_threads(&ledgers, dropped, report)
+}
+
+/// Append to `out`, which already holds `records[..out.len()]`, the rest
+/// of the repaired record sequence: the remaining records without the
+/// `dropped` indices (ascending), with each batch of `inserts` right after
+/// the record at its index (never a dropped one). Drops and inserts all
+/// lie at or past `out.len()`. Copies runs of untouched records whole,
+/// and leaves room for the end bracket.
+pub fn splice(
+    out: &mut Vec<TraceRecord>,
+    records: &[TraceRecord],
+    dropped: &[usize],
+    inserts: &BTreeMap<usize, Vec<TraceRecord>>,
+) {
+    let mut from = out.len();
+    let extra: usize = inserts.values().map(Vec::len).sum();
+    out.reserve(records.len() - from + extra + 1 - dropped.len());
+    let mut drops = dropped.iter().copied().peekable();
+    for (&at, batch) in inserts {
+        while let Some(d) = drops.next_if(|&d| d < at) {
+            out.extend_from_slice(&records[from..d]);
+            from = d + 1;
+        }
+        out.extend_from_slice(&records[from..=at]);
+        out.extend_from_slice(batch);
+        from = at + 1;
+    }
+    for d in drops {
+        out.extend_from_slice(&records[from..d]);
+        from = d + 1;
+    }
+    out.extend_from_slice(&records[from..]);
+}
+
+/// A collection mark at `time`.
+fn collect_mark(time: Time, kind: EventKind) -> TraceRecord {
+    TraceRecord {
         seq: 0,
         time,
         thread: ThreadId::MAIN,
@@ -346,20 +454,30 @@ fn synthesize_brackets(log: &mut TraceLog, report: &mut SalvageReport) {
         kind,
         result: EventResult::None,
         caller: CodeAddr::NULL,
-    };
+    }
+}
+
+/// Pass 5: restore the `start_collect` / `end_collect` brackets.
+fn synthesize_brackets(log: &mut TraceLog, report: &mut SalvageReport) {
     if log.records.first().map(|r| r.kind) != Some(EventKind::StartCollect) {
         let t = log.records.first().map(|r| r.time).unwrap_or(Time::ZERO);
-        log.records.insert(0, mark(t, EventKind::StartCollect));
+        log.records.insert(0, collect_mark(t, EventKind::StartCollect));
         report.push(
             DiagCode::SynthesizedStart,
             Pos::Record(0),
             format!("log does not begin with start_collect; synthesized at {t}"),
         );
     }
+    end_bracket(log, report);
+}
+
+/// Pass 5's end half: a log that does not end with `end_collect` gets one
+/// at its last record's time.
+pub fn end_bracket(log: &mut TraceLog, report: &mut SalvageReport) {
     if log.records.last().map(|r| r.kind) != Some(EventKind::EndCollect) {
         let t = log.records.last().map(|r| r.time).unwrap_or(Time::ZERO);
         let at = log.records.len() as u64;
-        log.records.push(mark(t, EventKind::EndCollect));
+        log.records.push(collect_mark(t, EventKind::EndCollect));
         report.push(
             DiagCode::SynthesizedEnd,
             Pos::Record(at),
@@ -369,7 +487,7 @@ fn synthesize_brackets(log: &mut TraceLog, report: &mut SalvageReport) {
 }
 
 /// Pass 6a: the header's wall time must cover the last record.
-fn clamp_wall_time(log: &mut TraceLog, report: &mut SalvageReport) {
+pub fn clamp_wall_time(log: &mut TraceLog, report: &mut SalvageReport) {
     let last = log.records.last().map(|r| r.time).unwrap_or(Time::ZERO);
     if log.header.wall_time < last {
         report.push(
@@ -384,10 +502,11 @@ fn clamp_wall_time(log: &mut TraceLog, report: &mut SalvageReport) {
     }
 }
 
-/// Pass 6b: renumber sequence numbers densely.
-fn renumber(log: &mut TraceLog, report: &mut SalvageReport) {
+/// Pass 6b: renumber sequence numbers densely. The records before index
+/// `from` are known to be numbered densely already.
+pub fn renumber(log: &mut TraceLog, from: usize, report: &mut SalvageReport) {
     let mut changed = 0u64;
-    for (i, r) in log.records.iter_mut().enumerate() {
+    for (i, r) in log.records.iter_mut().enumerate().skip(from) {
         if r.seq != i as u64 {
             changed += 1;
             r.seq = i as u64;

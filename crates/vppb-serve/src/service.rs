@@ -1172,6 +1172,47 @@ mod tests {
         assert!(after.clean, "completed log needs no salvage");
     }
 
+    #[test]
+    fn an_upload_that_validates_also_predicts() {
+        use vppb_model::{EventKind, Phase, TraceRecord};
+        // Each worker's `thread_start` mark repeated between the BEFORE
+        // and AFTER of its first `mutex_lock`: validation pairs the call
+        // across the mark, and so must the analyzer, or the accepted
+        // upload predicts to a 500.
+        let bytes = long_recorded_bytes();
+        let mut log = load_lenient_bytes(&bytes).unwrap().log;
+        let mut marked = Vec::new();
+        let mut at = 0;
+        while at < log.records.len() {
+            let r = log.records[at];
+            let start = log.records[..at]
+                .iter()
+                .find(|m| m.thread == r.thread && matches!(m.kind, EventKind::ThreadStart { .. }));
+            if let (Phase::Before, EventKind::MutexLock { .. }, Some(&start)) =
+                (r.phase, r.kind, start)
+            {
+                if !marked.contains(&r.thread) {
+                    marked.push(r.thread);
+                    log.records.insert(at + 1, TraceRecord { time: r.time, ..start });
+                }
+            }
+            at += 1;
+        }
+        assert_eq!(marked.len(), 3, "every worker locks");
+        for (i, r) in log.records.iter_mut().enumerate() {
+            r.seq = i as u64;
+        }
+        log.validate().expect("the marks sit inside well-paired calls");
+
+        let svc = PredictionService::new(1 << 20);
+        let up = svc.upload(&binlog::encode(&log).unwrap()).unwrap();
+        assert!(up.clean, "validation accepts the upload as it is");
+        let (with_marks, _) = svc.predict(&PredictRequest::new(&up.id, 4)).unwrap();
+        let plain = svc.upload(&bytes).unwrap();
+        let (without, _) = svc.predict(&PredictRequest::new(&plain.id, 4)).unwrap();
+        assert_eq!(with_marks.speedup, without.speedup);
+    }
+
     /// A binary log with a few hundred records: three workers taking one
     /// lock twenty times each.
     fn long_recorded_bytes() -> Vec<u8> {

@@ -35,6 +35,7 @@ pub use sim::{
 };
 pub use sorter::{analyze, analyze_with_stability};
 pub use stream::{
-    check_chunked_equivalence, cold_run, result_fingerprint, PlanState, StreamSession,
+    check_chunked_equivalence, check_chunks_equivalence, cold_run, result_fingerprint, PlanState,
+    StreamSession,
 };
 pub use sweep::{lwp_bound, sweep, sweep_plan, SweepConfig, SweepGrid, SweepOutcome, SweepPoint};

@@ -12,7 +12,7 @@ use vppb_threads::{Action, FuncId, LibCall};
 pub type ReplayOp = Action;
 
 /// Per-thread replay program material.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThreadPlan {
     /// The thread's id in the log (preserved in replay).
     pub id: ThreadId,
@@ -38,7 +38,7 @@ pub struct CvEpisode {
 }
 
 /// Replay state seeds for one condition variable.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CvPlan {
     /// Broadcast episodes in recorded order.
     pub episodes: Vec<CvEpisode>,
@@ -75,8 +75,6 @@ pub struct ReplayPlan {
     pub once_init: Vec<Duration>,
     /// Wall time of the monitored run (the prediction baseline).
     pub recorded_wall: vppb_model::Time,
-    /// Per-call `bound` flags recorded at `thr_create` (child id → bound).
-    pub bound: BTreeMap<ThreadId, bool>,
     /// Lazily compiled replay tapes — one flat op list per thread, in
     /// plan order, with every `Create` patched to the child's dense
     /// [`FuncId`]. Compiled once per plan ([`ReplayPlan::tapes`]) and
@@ -85,6 +83,39 @@ pub struct ReplayPlan {
     /// excluded from [`ReplayPlan::approx_bytes`] (reclaimable, and absent
     /// until first use).
     pub(crate) tapes: OnceLock<Arc<Vec<Arc<[Action]>>>>,
+}
+
+/// Plans are equal when everything the analyzer derived is; the compiled
+/// tapes are a cache of it. The pattern is exhaustive, so a new field
+/// does not compile until it is compared or skipped here.
+impl PartialEq for ReplayPlan {
+    fn eq(&self, other: &ReplayPlan) -> bool {
+        let ReplayPlan {
+            program,
+            threads,
+            create_map,
+            cvs,
+            sem_initial,
+            n_mutexes,
+            n_condvars,
+            n_rwlocks,
+            barrier_parties,
+            once_init,
+            recorded_wall,
+            tapes: _,
+        } = self;
+        *program == other.program
+            && *threads == other.threads
+            && *create_map == other.create_map
+            && *cvs == other.cvs
+            && *sem_initial == other.sem_initial
+            && *n_mutexes == other.n_mutexes
+            && *n_condvars == other.n_condvars
+            && *n_rwlocks == other.n_rwlocks
+            && *barrier_parties == other.barrier_parties
+            && *once_init == other.once_init
+            && *recorded_wall == other.recorded_wall
+    }
 }
 
 impl ReplayPlan {

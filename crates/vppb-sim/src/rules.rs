@@ -162,7 +162,6 @@ mod tests {
             n_condvars: 1,
             n_rwlocks: 0,
             recorded_wall: Time::ZERO,
-            bound: Default::default(),
             tapes: std::sync::OnceLock::new(),
         }
     }

@@ -14,18 +14,24 @@
 //! * compute gaps between consecutive events of one thread become `Work`
 //!   ops (valid because the monitored run used a single LWP: no other
 //!   thread can run between two events of the same thread).
+//!
+//! The analysis is one [`Fold`] over the records in log order. The cold
+//! path ([`analyze`]) runs it over a whole validated log; the streaming
+//! feed (`crate::feed`) runs the same fold over each record as it decodes
+//! it, and [`Fold::finish`] builds the plan and each thread's committed
+//! horizon for both.
 
 use crate::plan::{CvEpisode, CvPlan, ReplayPlan, ThreadPlan};
 use std::collections::{BTreeMap, BTreeSet};
 use vppb_model::{
-    CodeAddr, DiagCode, Diagnostic, Duration, EventKind, EventResult, ObjKind, Phase, Pos,
-    ThreadId, Time, TraceLog, TraceRecord, VppbError,
+    CodeAddr, DiagCode, Diagnostic, Duration, EventKind, EventResult, LogHeader, ObjKind, Phase,
+    Pos, ThreadId, Time, TraceLog, TraceRecord, VppbError,
 };
 use vppb_threads::{Action, BarrierRef, CondRef, LibCall, MutexRef, OnceRef, RwRef, SemRef};
 
 /// Build the replay plan from a validated log.
 pub fn analyze(log: &TraceLog) -> Result<ReplayPlan, VppbError> {
-    Ok(analyze_inner(log, None)?.0)
+    Ok(fold_log(log, &[])?.plan)
 }
 
 /// Like [`analyze`], additionally reporting how many leading ops of each
@@ -45,301 +51,412 @@ pub fn analyze_with_stability(
     log: &TraceLog,
     synthetic_seqs: &[usize],
 ) -> Result<(ReplayPlan, BTreeMap<ThreadId, usize>), VppbError> {
-    let set: BTreeSet<u64> = synthetic_seqs.iter().map(|&i| i as u64).collect();
-    analyze_inner(log, Some(&set))
+    let a = fold_log(log, synthetic_seqs)?;
+    Ok((a.plan, a.stable))
 }
 
-fn analyze_inner(
-    log: &TraceLog,
-    synthetic: Option<&BTreeSet<u64>>,
-) -> Result<(ReplayPlan, BTreeMap<ThreadId, usize>), VppbError> {
-    log.validate()?;
+/// What the analyzer derives from a log.
+pub(crate) struct Analysis {
+    pub plan: ReplayPlan,
+    /// Per thread, the stable op count of [`analyze_with_stability`].
+    pub stable: BTreeMap<ThreadId, usize>,
+    /// Per thread, the committed horizon (see [`ThreadFold::horizon`]).
+    pub committed: BTreeMap<ThreadId, usize>,
+}
 
-    // ---- pass 1: group records per thread, track object universe --------
-    let mut per_thread: BTreeMap<ThreadId, Vec<&TraceRecord>> = BTreeMap::new();
-    let mut n_mutexes = 0u32;
-    let mut n_condvars = 0u32;
-    let mut n_rwlocks = 0u32;
-    let mut n_sems = 0u32;
-    let mut barrier_parties: Vec<u32> = Vec::new();
-    let mut once_init: Vec<Duration> = Vec::new();
+/// Validate `log` and run the [`Fold`] over all of it.
+pub(crate) fn fold_log(log: &TraceLog, synthetic_seqs: &[usize]) -> Result<Analysis, VppbError> {
+    log.validate()?;
+    let synthetic: BTreeSet<u64> = synthetic_seqs.iter().map(|&i| i as u64).collect();
+    let mut fold = Fold::default();
     for r in &log.records {
+        fold.push(r, !synthetic.contains(&r.seq))?;
+    }
+    fold.finish(&log.header, &BTreeMap::new())
+}
+
+/// Ops a checkpoint chain must never execute before the log is complete:
+/// condvar traffic (replay-rule seeds grow with the log) and semaphore
+/// traffic (inferred initial counts grow with the log).
+pub(crate) fn provisional_op(op: &Action) -> bool {
+    matches!(
+        op,
+        Action::Call(
+            LibCall::CondWait { .. }
+                | LibCall::CondSignal(_)
+                | LibCall::CondBroadcast(_)
+                | LibCall::SemWait(_)
+                | LibCall::SemPost(_),
+            _
+        )
+    )
+}
+
+/// The analyzer as one fold over a log's records in log order: the
+/// object universe, the create map, thread entries and semaphore levels,
+/// condvar wait spans and notifies, and each thread's op list built
+/// through [`translate_call`]. A BEFORE pairs with its thread's next call
+/// record — marks in between do not break a pair, as in
+/// [`TraceLog::validate`] and the salvager — and a pair folds once, when
+/// its AFTER arrives, so everything the fold holds is settled: the cold
+/// analyzer pushes a whole validated log, the streaming feed pushes each
+/// record as it is decoded, and [`Fold::finish`] builds the plan either
+/// way.
+#[derive(Clone, Default)]
+pub(crate) struct Fold {
+    seeds: Seeds,
+    threads: BTreeMap<ThreadId, ThreadFold>,
+}
+
+/// Everything the fold derives besides the per-thread op lists.
+#[derive(Clone, Default)]
+struct Seeds {
+    n_mutexes: u32,
+    n_condvars: u32,
+    n_rwlocks: u32,
+    n_sems: u32,
+    barrier_parties: Vec<u32>,
+    once_init: Vec<Duration>,
+    create_map: BTreeMap<(ThreadId, u64), ThreadId>,
+    entries: BTreeMap<ThreadId, CodeAddr>,
+    /// Running level and low-water mark per semaphore, over AFTER records.
+    sem_level: Vec<i64>,
+    sem_min: Vec<i64>,
+    /// Closed, non-timed-out wait spans `(cv, before, after, mutex)`, in
+    /// AFTER order.
+    wait_spans: Vec<(u32, Time, Time, u32)>,
+    /// Signals and broadcasts `(BEFORE seq, time, is_broadcast, cv)`, in
+    /// AFTER order; replayed in BEFORE order.
+    notifies: Vec<(u64, Time, bool, u32)>,
+}
+
+/// One thread's part of the [`Fold`].
+#[derive(Clone, Default)]
+struct ThreadFold {
+    /// The open BEFORE, and whether it is a real (not synthesized) record.
+    pending: Option<(TraceRecord, bool)>,
+    /// Whether a mark or a pair of this thread has folded.
+    seen: bool,
+    ops: Vec<Action>,
+    /// End time of the thread's last event: compute gaps start here.
+    prev_end: Option<Time>,
+    /// Ops before the first pair that is synthesized or unpaired: the
+    /// ops from there on are not stable.
+    unstable_from: Option<usize>,
+    /// `(ops before the pair, child)` per `thr_create`, in order.
+    creates: Vec<(usize, ThreadId)>,
+    /// Index of the first condvar or semaphore op.
+    first_provisional: Option<usize>,
+}
+
+impl Fold {
+    /// The open BEFORE of `thread`, if any.
+    pub(crate) fn pending_of(&self, thread: ThreadId) -> Option<&TraceRecord> {
+        self.threads.get(&thread)?.pending.as_ref().map(|(b, _)| b)
+    }
+
+    /// Every open BEFORE, in thread order.
+    pub(crate) fn pending(&self) -> impl Iterator<Item = &TraceRecord> {
+        self.threads.values().filter_map(|tf| tf.pending.as_ref().map(|(b, _)| b))
+    }
+
+    /// Fold the next record of the log. `real` is false for a record the
+    /// salvager synthesized: the ops it yields are not stable.
+    pub(crate) fn push(&mut self, r: &TraceRecord, real: bool) -> Result<(), VppbError> {
+        if matches!(r.kind, EventKind::StartCollect | EventKind::EndCollect) {
+            return Ok(());
+        }
+        let tf = self.threads.entry(r.thread).or_default();
+        match r.phase {
+            Phase::Mark => {
+                tf.seen = true;
+                if let EventKind::ThreadStart { func } = r.kind {
+                    // Compute starts at the thread's first scheduling
+                    // instant; inside an open call the AFTER ends it.
+                    if tf.pending.is_none() {
+                        tf.prev_end = Some(r.time);
+                    }
+                    self.seeds.entries.insert(r.thread, func);
+                }
+                self.seeds.objects(r);
+                Ok(())
+            }
+            Phase::Before => match tf.pending {
+                Some((p, _)) => Err(VppbError::MalformedLog(format!(
+                    "nested BEFORE on {}: {} while {} pending",
+                    r.thread,
+                    r.kind.name(),
+                    p.kind.name()
+                ))),
+                None => {
+                    tf.pending = Some((*r, real));
+                    Ok(())
+                }
+            },
+            Phase::After => match tf.pending.take() {
+                Some((b, b_real)) => settle(&mut self.seeds, tf, &b, Some(r), b_real && real),
+                None => Err(VppbError::MalformedLog(format!(
+                    "stray AFTER for {} at {}",
+                    r.thread, r.time
+                ))),
+            },
+        }
+    }
+
+    /// Build the plan from the fold plus `tails`: the records the salvager
+    /// inserts after each thread's last record, keyed by that record's
+    /// index (empty for a log that is already salvaged). A BEFORE still
+    /// open is what the salvager makes of it: a dangling one is dropped,
+    /// an open `thr_exit` replays as the thread's exit.
+    pub(crate) fn finish(
+        mut self,
+        header: &LogHeader,
+        tails: &BTreeMap<usize, Vec<TraceRecord>>,
+    ) -> Result<Analysis, VppbError> {
+        for tf in self.threads.values_mut() {
+            if tf.pending.is_some_and(|(b, _)| b.kind != EventKind::ThrExit) {
+                tf.pending = None;
+            }
+        }
+        for r in tails.values().flatten() {
+            self.push(r, false)?;
+        }
+        let Fold { mut seeds, threads } = self;
+        let start_fn = |id: ThreadId, default: &str| {
+            header.thread_start_fn.get(&id).cloned().unwrap_or_else(|| default.into())
+        };
+        let mut plans = Vec::with_capacity(threads.len());
+        let mut stable = BTreeMap::new();
+        let mut committed = BTreeMap::new();
+        for (id, mut tf) in threads {
+            if let Some((b, real)) = tf.pending.take() {
+                settle(&mut seeds, &mut tf, &b, None, real)?;
+            }
+            if !tf.seen {
+                continue; // only a dangling BEFORE, which salvage dropped
+            }
+            let (s, c) = tf.horizon(&seeds.entries);
+            stable.insert(id, s);
+            committed.insert(id, c);
+            let mut ops = tf.ops;
+            // Ensure the thread terminates.
+            if !matches!(ops.last(), Some(Action::Call(LibCall::Exit, _))) {
+                ops.push(Action::Call(LibCall::Exit, CodeAddr::NULL));
+            }
+            plans.push(ThreadPlan {
+                id,
+                start_fn: start_fn(id, if id == ThreadId::MAIN { "main" } else { "thread" }),
+                entry: seeds.entries.get(&id).copied().unwrap_or(CodeAddr::NULL),
+                ops,
+            });
+        }
+        if plans.is_empty() || plans[0].id != ThreadId::MAIN {
+            return Err(VppbError::MalformedLog("log has no main thread".into()));
+        }
+
+        // A child that was created but never produced a record (the log was
+        // truncated right after its spawn) gets an empty plan: it starts,
+        // does nothing observable, and exits — so creates and joins of it
+        // still replay instead of panicking on a missing thread plan.
+        let recorded = plans.len();
+        for &child in seeds.create_map.values() {
+            if plans[..recorded].binary_search_by_key(&child, |t| t.id).is_err() {
+                plans.push(ThreadPlan {
+                    id: child,
+                    start_fn: start_fn(child, "thread"),
+                    entry: CodeAddr::NULL,
+                    ops: vec![Action::Call(LibCall::Exit, CodeAddr::NULL)],
+                });
+                // Its real first record may still arrive: nothing is stable.
+                stable.insert(child, 0);
+                committed.insert(child, 0);
+            }
+        }
+
+        // Condvar episodes and signal release counts:
+        // notifies in record order against every closed wait span.
+        let mut cvs: Vec<CvPlan> = vec![CvPlan::default(); seeds.n_condvars as usize];
+        seeds.notifies.sort_unstable_by_key(|n| n.0);
+        for &(_, t, broadcast, cv) in &seeds.notifies {
+            let mut spanning =
+                seeds.wait_spans.iter().filter(|(c, b, a, _)| *c == cv && *b <= t && *a >= t);
+            let cv = &mut cvs[cv as usize];
+            if broadcast {
+                let mutex = spanning.clone().next().map_or(0, |s| s.3);
+                cv.episodes.push(CvEpisode { parties: spanning.count() as u32 + 1, mutex });
+            } else {
+                cv.signal_released.push(u32::from(spanning.next().is_some()));
+            }
+        }
+        let sem_initial = (0..seeds.n_sems as usize)
+            .map(|i| seeds.sem_min.get(i).map_or(0, |&m| (-m).max(0) as u32))
+            .collect();
+
+        let plan = ReplayPlan {
+            program: header.program.clone(),
+            threads: plans,
+            create_map: seeds.create_map,
+            cvs,
+            sem_initial,
+            n_mutexes: seeds.n_mutexes,
+            n_condvars: seeds.n_condvars,
+            n_rwlocks: seeds.n_rwlocks,
+            barrier_parties: seeds.barrier_parties,
+            once_init: seeds.once_init,
+            recorded_wall: header.wall_time,
+            tapes: std::sync::OnceLock::new(),
+        };
+        Ok(Analysis { plan, stable, committed })
+    }
+}
+
+/// Fold one call of thread `tf`: BEFORE `b` and its AFTER `a` (none for
+/// a `thr_exit`).
+fn settle(
+    seeds: &mut Seeds,
+    tf: &mut ThreadFold,
+    b: &TraceRecord,
+    a: Option<&TraceRecord>,
+    real: bool,
+) -> Result<(), VppbError> {
+    let child = seeds.call(b, a)?;
+    tf.seen = true;
+    let before_pair = tf.ops.len();
+    // The compute gap since the thread's previous event ended.
+    if let Some(pe) = tf.prev_end {
+        let gap = b.time - pe;
+        if !gap.is_zero() {
+            tf.ops.push(Action::Work(gap));
+        }
+    }
+    let call = tf.ops.len();
+    translate_call(b.kind, b.caller, a.copied(), &mut tf.ops)?;
+    if tf.first_provisional.is_none() {
+        tf.first_provisional = tf.ops[call..].iter().position(provisional_op).map(|k| call + k);
+    }
+    if let Some(child) = child {
+        seeds.create_map.insert((b.thread, tf.creates.len() as u64), child);
+        tf.creates.push((before_pair, child));
+    }
+    if !(real && a.is_some()) && tf.unstable_from.is_none() {
+        tf.unstable_from = Some(before_pair);
+    }
+    tf.prev_end = Some(a.map_or(b.time, |a| a.time));
+    Ok(())
+}
+
+impl ThreadFold {
+    /// The thread's `(stable, committed)` op counts. Stable: the ops of
+    /// closed pairs of real records, up to the first `thr_create` whose
+    /// child has no entry address yet (a later record backfills it,
+    /// changing the replayed create). Committed — the horizon a
+    /// checkpoint chain may replay to (DESIGN.md §6f): the stable ops
+    /// before the first provisional one. Both paths read it here.
+    fn horizon(&self, entries: &BTreeMap<ThreadId, CodeAddr>) -> (usize, usize) {
+        let real = self.unstable_from.unwrap_or(self.ops.len());
+        let unresolved = self.creates.iter().find(|(_, child)| !entries.contains_key(child));
+        let stable = unresolved.map_or(real, |&(at, _)| at.min(real));
+        (stable, self.first_provisional.map_or(stable, |p| p.min(stable)))
+    }
+}
+
+impl Seeds {
+    /// Fold what call `b` (with AFTER `a`) adds besides ops; returns the
+    /// child a `thr_create` created.
+    fn call(
+        &mut self,
+        b: &TraceRecord,
+        a: Option<&TraceRecord>,
+    ) -> Result<Option<ThreadId>, VppbError> {
+        self.objects(b);
+        let Some(a) = a else { return Ok(None) };
+        self.objects(a);
+        let mut child = None;
+        match (a.kind, a.result) {
+            (EventKind::ThrCreate { .. }, EventResult::Created(c)) => child = Some(c),
+            // A create whose AFTER lost its child id cannot be replayed:
+            // the Simulator would not know which thread to spawn.
+            // `validate()` does not see this (the pair is well-formed), so
+            // say where, instead of panicking later.
+            (EventKind::ThrCreate { .. }, _) => {
+                return Err(Diagnostic::error(
+                    DiagCode::OrphanCreate,
+                    Pos::Record(a.seq),
+                    format!("thr_create on {} returned no created-child id", a.thread),
+                )
+                .into())
+            }
+            (EventKind::SemPost { obj }, _) => *self.sem_slot(obj.index).0 += 1,
+            (EventKind::SemWait { obj }, _)
+            | (EventKind::SemTryWait { obj }, EventResult::Acquired(true)) => {
+                let (level, min) = self.sem_slot(obj.index);
+                *level -= 1;
+                *min = (*min).min(*level);
+            }
+            _ => {}
+        }
+        match b.kind {
+            // A timed-out wait was not *released* by anyone.
+            EventKind::CondWait { cond, mutex } | EventKind::CondTimedWait { cond, mutex, .. }
+                if !matches!(a.result, EventResult::TimedOut(true)) =>
+            {
+                self.wait_spans.push((cond.index, b.time, a.time, mutex.index));
+            }
+            EventKind::CondSignal { cond } => {
+                self.notifies.push((b.seq, b.time, false, cond.index))
+            }
+            EventKind::CondBroadcast { cond } => {
+                self.notifies.push((b.seq, b.time, true, cond.index))
+            }
+            _ => {}
+        }
+        Ok(child)
+    }
+
+    /// Track the object universe for one record.
+    fn objects(&mut self, r: &TraceRecord) {
         if let Some(obj) = r.kind.object() {
             let i = obj.index as usize;
             match obj.kind {
-                ObjKind::Mutex => n_mutexes = n_mutexes.max(obj.index + 1),
-                ObjKind::Semaphore => n_sems = n_sems.max(obj.index + 1),
-                ObjKind::Condvar => n_condvars = n_condvars.max(obj.index + 1),
-                ObjKind::RwLock => n_rwlocks = n_rwlocks.max(obj.index + 1),
+                ObjKind::Mutex => self.n_mutexes = self.n_mutexes.max(obj.index + 1),
+                ObjKind::Semaphore => self.n_sems = self.n_sems.max(obj.index + 1),
+                ObjKind::Condvar => self.n_condvars = self.n_condvars.max(obj.index + 1),
+                ObjKind::RwLock => self.n_rwlocks = self.n_rwlocks.max(obj.index + 1),
                 ObjKind::Barrier => {
-                    if barrier_parties.len() <= i {
-                        barrier_parties.resize(i + 1, 1);
+                    if self.barrier_parties.len() <= i {
+                        self.barrier_parties.resize(i + 1, 1);
                     }
                     if let EventKind::BarrierWait { parties, .. } = r.kind {
-                        barrier_parties[i] = parties.max(1);
+                        self.barrier_parties[i] = parties.max(1);
                     }
                 }
                 ObjKind::Once => {
-                    if once_init.len() <= i {
-                        once_init.resize(i + 1, Duration::ZERO);
+                    if self.once_init.len() <= i {
+                        self.once_init.resize(i + 1, Duration::ZERO);
                     }
                     if let EventKind::OnceCall { init, .. } = r.kind {
-                        once_init[i] = once_init[i].max(init);
+                        self.once_init[i] = self.once_init[i].max(init);
                     }
                 }
             }
         }
         if let Some(m) = r.kind.cond_mutex() {
-            n_mutexes = n_mutexes.max(m.index + 1);
-        }
-        match r.kind {
-            EventKind::StartCollect | EventKind::EndCollect => continue,
-            _ => per_thread.entry(r.thread).or_default().push(r),
+            self.n_mutexes = self.n_mutexes.max(m.index + 1);
         }
     }
 
-    // ---- pass 2: create map, bound flags, entries, semaphore inference --
-    let mut create_map = BTreeMap::new();
-    let mut bound_flags = BTreeMap::new();
-    let mut entries: BTreeMap<ThreadId, CodeAddr> = BTreeMap::new();
-    let mut create_seq: BTreeMap<ThreadId, u64> = BTreeMap::new();
-    let mut sem_level: Vec<i64> = vec![0; n_sems as usize];
-    let mut sem_min: Vec<i64> = vec![0; n_sems as usize];
-    for r in &log.records {
-        match (r.phase, r.kind, r.result) {
-            (Phase::After, EventKind::ThrCreate { bound, .. }, EventResult::Created(child)) => {
-                let seq = create_seq.entry(r.thread).or_insert(0);
-                create_map.insert((r.thread, *seq), child);
-                *seq += 1;
-                bound_flags.insert(child, bound);
-            }
-            (Phase::Mark, EventKind::ThreadStart { func }, _) => {
-                entries.insert(r.thread, func);
-            }
-            (Phase::After, EventKind::SemPost { obj }, _) => {
-                sem_level[obj.index as usize] += 1;
-            }
-            (Phase::After, EventKind::SemWait { obj }, _) => {
-                let i = obj.index as usize;
-                sem_level[i] -= 1;
-                sem_min[i] = sem_min[i].min(sem_level[i]);
-            }
-            (Phase::After, EventKind::SemTryWait { obj }, EventResult::Acquired(true)) => {
-                let i = obj.index as usize;
-                sem_level[i] -= 1;
-                sem_min[i] = sem_min[i].min(sem_level[i]);
-            }
-            _ => {}
+    fn sem_slot(&mut self, index: u32) -> (&mut i64, &mut i64) {
+        let i = index as usize;
+        if self.sem_level.len() <= i {
+            self.sem_level.resize(i + 1, 0);
+            self.sem_min.resize(i + 1, 0);
         }
+        (&mut self.sem_level[i], &mut self.sem_min[i])
     }
-    let sem_initial: Vec<u32> = sem_min.iter().map(|&m| (-m).max(0) as u32).collect();
-
-    // Consistency: a `thr_create` whose AFTER lost its created-child id
-    // cannot be replayed — the Simulator would not know which thread to
-    // spawn. `validate()` does not see this (the pair is well-formed), so
-    // check here, with a position, instead of panicking later.
-    for r in &log.records {
-        if r.phase == Phase::After
-            && matches!(r.kind, EventKind::ThrCreate { .. })
-            && !matches!(r.result, EventResult::Created(_))
-        {
-            return Err(Diagnostic::error(
-                DiagCode::OrphanCreate,
-                Pos::Record(r.seq),
-                format!("thr_create on {} returned no created-child id", r.thread),
-            )
-            .into());
-        }
-    }
-
-    // ---- pass 3: condvar episodes and signal release counts -------------
-    let mut cvs: Vec<CvPlan> = vec![CvPlan::default(); n_condvars as usize];
-    // Collect every wait span (cv, before, after, mutex).
-    let mut wait_spans: Vec<(u32, Time, Time, u32)> = Vec::new();
-    {
-        let mut open: BTreeMap<ThreadId, (u32, Time, u32)> = BTreeMap::new();
-        for r in &log.records {
-            match (r.phase, r.kind) {
-                (Phase::Before, EventKind::CondWait { cond, mutex }) => {
-                    open.insert(r.thread, (cond.index, r.time, mutex.index));
-                }
-                (Phase::Before, EventKind::CondTimedWait { cond, mutex, .. }) => {
-                    open.insert(r.thread, (cond.index, r.time, mutex.index));
-                }
-                (Phase::After, EventKind::CondWait { .. })
-                | (Phase::After, EventKind::CondTimedWait { .. }) => {
-                    if let Some((cv, before, m)) = open.remove(&r.thread) {
-                        // A timed-out wait was not *released* by anyone.
-                        let timed_out = matches!(r.result, EventResult::TimedOut(true));
-                        if !timed_out {
-                            wait_spans.push((cv, before, r.time, m));
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    for r in &log.records {
-        if r.phase != Phase::Before {
-            continue;
-        }
-        match r.kind {
-            EventKind::CondBroadcast { cond } => {
-                let cv = cond.index;
-                let spanning: Vec<&(u32, Time, Time, u32)> = wait_spans
-                    .iter()
-                    .filter(|(c, b, a, _)| *c == cv && *b <= r.time && *a >= r.time)
-                    .collect();
-                let released = spanning.len() as u32;
-                let mutex = spanning.first().map(|(_, _, _, m)| *m).unwrap_or(0);
-                cvs[cv as usize].episodes.push(CvEpisode { parties: released + 1, mutex });
-            }
-            EventKind::CondSignal { cond } => {
-                let cv = cond.index;
-                let released = wait_spans
-                    .iter()
-                    .filter(|(c, b, a, _)| *c == cv && *b <= r.time && *a >= r.time)
-                    .count()
-                    .min(1) as u32;
-                cvs[cv as usize].signal_released.push(released);
-            }
-            _ => {}
-        }
-    }
-
-    // ---- pass 4: per-thread op lists -------------------------------------
-    let mut threads = Vec::new();
-    let mut stable_map: BTreeMap<ThreadId, usize> = BTreeMap::new();
-    for (&tid, records) in &per_thread {
-        let mut ops = Vec::new();
-        // Ops derived so far from closed pairs of real records only; stops
-        // advancing at the first synthetic or unpaired record.
-        let mut stable_ops = 0usize;
-        let mut stable = true;
-        // Compute starts at the thread's first scheduling instant.
-        let mut prev_end: Option<Time> = None;
-        let mut i = 0;
-        while i < records.len() {
-            let r = records[i];
-            match (r.phase, r.kind) {
-                (Phase::Mark, EventKind::ThreadStart { .. }) => {
-                    prev_end = Some(r.time);
-                    i += 1;
-                }
-                (Phase::Before, kind) => {
-                    // Emit the compute gap since the previous event ended.
-                    if let Some(pe) = prev_end {
-                        let gap = r.time - pe;
-                        if !gap.is_zero() {
-                            ops.push(Action::Work(gap));
-                        }
-                    }
-                    // Find the matching AFTER (next record of this thread,
-                    // except for thr_exit which never returns).
-                    let after = records.get(i + 1).filter(|a| a.phase == Phase::After);
-                    translate_call(kind, r.caller, after.map(|a| *(*a)), &mut ops)?;
-                    let synthetic_rec = synthetic.is_some_and(|s| {
-                        s.contains(&r.seq) || after.is_some_and(|a| s.contains(&a.seq))
-                    });
-                    // A Create is only final once the child's entry address
-                    // is known: until the child's ThreadStart arrives, the
-                    // plan carries a NULL entry that a later chunk will
-                    // backfill, changing the replayed ThrCreate event.
-                    let create_resolved = match after.map(|a| (a.kind, a.result)) {
-                        Some((EventKind::ThrCreate { .. }, EventResult::Created(child))) => {
-                            entries.contains_key(&child)
-                        }
-                        _ => true,
-                    };
-                    if stable && !synthetic_rec && create_resolved && after.is_some() {
-                        stable_ops = ops.len();
-                    } else {
-                        stable = false;
-                    }
-                    prev_end = Some(after.map(|a| a.time).unwrap_or(r.time));
-                    i += if after.is_some() { 2 } else { 1 };
-                }
-                (Phase::After, _) => {
-                    return Err(VppbError::MalformedLog(format!(
-                        "stray AFTER for {tid} at {}",
-                        r.time
-                    )));
-                }
-                (Phase::Mark, _) => {
-                    i += 1;
-                }
-            }
-        }
-        stable_map.insert(tid, stable_ops);
-        // Ensure the thread terminates.
-        if !matches!(ops.last(), Some(Action::Call(LibCall::Exit, _))) {
-            ops.push(Action::Call(LibCall::Exit, CodeAddr::NULL));
-        }
-        threads.push(ThreadPlan {
-            id: tid,
-            start_fn: log.header.thread_start_fn.get(&tid).cloned().unwrap_or_else(|| {
-                if tid == ThreadId::MAIN {
-                    "main".into()
-                } else {
-                    "thread".into()
-                }
-            }),
-            entry: entries.get(&tid).copied().unwrap_or(CodeAddr::NULL),
-            ops,
-        });
-    }
-
-    if threads.is_empty() || threads[0].id != ThreadId::MAIN {
-        return Err(VppbError::MalformedLog("log has no main thread".into()));
-    }
-
-    // A child that was created but never produced a record (the log was
-    // truncated right after its spawn) gets an empty plan: it starts,
-    // does nothing observable, and exits — so creates and joins of it
-    // still replay instead of panicking on a missing thread plan.
-    for child in create_map.values() {
-        if !per_thread.contains_key(child) {
-            threads.push(ThreadPlan {
-                id: *child,
-                start_fn: log
-                    .header
-                    .thread_start_fn
-                    .get(child)
-                    .cloned()
-                    .unwrap_or_else(|| "thread".into()),
-                entry: CodeAddr::NULL,
-                ops: vec![Action::Call(LibCall::Exit, CodeAddr::NULL)],
-            });
-            // Its real first record may still arrive: nothing is stable.
-            stable_map.insert(*child, 0);
-        }
-    }
-
-    Ok((
-        ReplayPlan {
-            program: log.header.program.clone(),
-            threads,
-            create_map,
-            cvs,
-            sem_initial,
-            n_mutexes,
-            n_condvars,
-            n_rwlocks,
-            barrier_parties,
-            once_init,
-            recorded_wall: log.header.wall_time,
-            bound: bound_flags,
-            tapes: std::sync::OnceLock::new(),
-        },
-        stable_map,
-    ))
 }
 
 /// Translate one recorded call into replay ops, applying the static rules.
-/// `pub(crate)` so the incremental feed folds settled pairs through the
-/// exact same translation.
-pub(crate) fn translate_call(
+fn translate_call(
     kind: EventKind,
     caller: CodeAddr,
     after: Option<TraceRecord>,

@@ -16,10 +16,12 @@
 //! A chunk boundary can tear a record, and the salvager closes the torn
 //! log with synthesized unlocks/exits that the next chunk replaces. The
 //! committed prefix of each thread therefore stops at the first salvaged
-//! record, the first unpaired BEFORE, and the first condvar/semaphore op
-//! (whose replay-rule seeds and inferred initial counts can change as the
-//! log grows). Within that prefix the per-thread ops are *append-stable*:
-//! later chunks extend them without rewriting. The chain replays only
+//! record, the first unpaired BEFORE, the first create whose child has
+//! no entry address yet, and the first condvar/semaphore op (whose
+//! replay-rule seeds and inferred initial counts can change as the log
+//! grows); the analyzer computes it in one place for every path. Within
+//! that prefix the per-thread ops are *append-stable*: later chunks
+//! extend them without rewriting. The chain replays only
 //! committed ops — each thread's tape is capped at its commit horizon,
 //! where its [`TapeCursor`] returns [`Action::Stall`] — so a snapshot
 //! paused before the first stall event is a true intermediate state of
@@ -35,31 +37,13 @@
 use crate::feed::{FeedStep, IncrementalFeed};
 use crate::plan::ReplayPlan;
 use crate::sim::{build_replay_app, replay_with_engine, tape_app};
-use crate::sorter::analyze_with_stability;
+use crate::sorter::{analyze, fold_log, Analysis};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use vppb_machine::{run, run_stream, EngineSnapshot, RunResult, StreamControl, StreamOutcome};
 use vppb_model::{chunk, SimParams, StableHasher, ThreadId, TraceLog, VppbError};
 use vppb_recorder::{load_lenient_traced, LoadedLog};
 use vppb_threads::{Action, App, LibCall, TapeCursor};
-
-/// Ops a chain must never execute before the log is complete: condvar
-/// traffic (replay-rule seeds grow with the log) and semaphore traffic
-/// (inferred initial counts grow with the log). Shared with the
-/// incremental feed, which applies the same cut to its fold.
-pub(crate) fn provisional_op(op: &Action) -> bool {
-    matches!(
-        op,
-        Action::Call(
-            LibCall::CondWait { .. }
-                | LibCall::CondSignal(_)
-                | LibCall::CondBroadcast(_)
-                | LibCall::SemWait(_)
-                | LibCall::SemPost(_),
-            _
-        )
-    )
-}
 
 /// Everything a session derives from the bytes received so far.
 pub struct PlanState {
@@ -163,7 +147,7 @@ impl StreamSession {
     /// back to a bit-identical full re-derive over the whole buffer.
     pub fn append(&mut self, chunk: &[u8]) -> Result<&PlanState, VppbError> {
         self.bytes.extend_from_slice(chunk);
-        let state = match self.feed.append(&self.bytes)? {
+        let state = match self.feed.append(&self.bytes, self.state.as_mut())? {
             FeedStep::Fast(state) => *state,
             FeedStep::Full => {
                 // A full re-derive may rewrite ops wholesale; the cached
@@ -176,8 +160,11 @@ impl StreamSession {
         Ok(self.state.as_ref().unwrap())
     }
 
-    /// Whether the incremental decode/analyze fast path is serving this
-    /// session (diagnostics for `vppb watch` and the streaming bench).
+    /// Whether appends are served by the incremental fast path
+    /// ([`IncrementalFeed`]): from the first append that holds a v2
+    /// binary preamble for as long as every frame is clean — never for a
+    /// text or JSON stream, and never again once a damaged frame, or a
+    /// record shape the fast path does not model, has arrived.
     pub fn incremental(&self) -> bool {
         self.feed.is_fast()
     }
@@ -294,28 +281,21 @@ impl StreamSession {
 }
 
 /// Full (non-incremental) derivation of a session's plan state: lenient
-/// load, salvage, analyze, and the committed-horizon computation from the
-/// analyzer's stability map. The feed's fallback target and the baseline
-/// the fast path must bit-match.
+/// load, salvage, and the analyzer's fold over the salvaged log, which
+/// also yields the committed horizon. The feed's fallback target and the
+/// baseline the fast path must bit-match.
 fn derive_full(bytes: &[u8]) -> Result<PlanState, VppbError> {
     let (loaded, synthetic) = load_lenient_traced(bytes)?;
-    let (plan, stable) = analyze_with_stability(&loaded.log, &synthetic)?;
-    let mut committed = BTreeMap::new();
-    for tp in &plan.threads {
-        let cap = tp.ops.iter().position(provisional_op).unwrap_or(tp.ops.len());
-        let stable_len = stable.get(&tp.id).copied().unwrap_or(0);
-        committed.insert(tp.id, cap.min(stable_len));
-    }
+    let Analysis { plan, committed, .. } = fold_log(&loaded.log, &synthetic)?;
     Ok(PlanState { loaded, plan, committed })
 }
 
 /// Cold reference run: parse, salvage, analyze and replay `bytes` from
 /// scratch — the function every rolling prediction must bit-match.
 pub fn cold_run(bytes: &[u8], params: &SimParams) -> Result<RunResult, VppbError> {
-    let (loaded, synthetic) = load_lenient_traced(bytes)?;
-    let (plan, _) = analyze_with_stability(&loaded.log, &synthetic)?;
-    let committed = BTreeMap::new();
-    cold_run_state(&PlanState { loaded, plan, committed }, params)
+    let (loaded, _) = load_lenient_traced(bytes)?;
+    let plan = analyze(&loaded.log)?;
+    cold_run_state(&PlanState { loaded, plan, committed: BTreeMap::new() }, params)
 }
 
 fn cold_run_state(state: &PlanState, params: &SimParams) -> Result<RunResult, VppbError> {
@@ -449,27 +429,40 @@ pub fn result_fingerprint(r: &RunResult) -> u64 {
 
 /// The chunk-equivalence check the test battery and `vppb fuzz --chunked`
 /// share: split `bytes` at record boundaries (seeded; every boundary for
-/// small logs), feed the chunks through a [`StreamSession`], and at every
-/// boundary compare the session's salvaged log (records, salvage report,
-/// diagnostics) with a cold load, and the rolling prediction with a cold
-/// run, of the concatenated prefix. Returns the number of boundaries
-/// checked, or a description of the first divergence.
+/// small logs) and run [`check_chunks_equivalence`] over the chunks.
 pub fn check_chunked_equivalence(
     bytes: &[u8],
     params: &SimParams,
     seed: u64,
 ) -> Result<usize, String> {
-    let chunks = chunk::split_random(bytes, seed, 8);
+    check_chunks_equivalence(&chunk::split_random(bytes, seed, 8), params)
+}
+
+/// Feed `chunks` through a [`StreamSession`] and at every chunk boundary
+/// require of the concatenated prefix that
+///
+/// * the session's salvaged log (records, salvage report, diagnostics)
+///   equals a cold load's;
+/// * the session's plan and committed horizon equal the full re-derive's;
+/// * each thread's committed ops are a prefix of its ops in the plan of
+///   the complete log (when that log analyzes);
+/// * the rolling prediction equals a cold run.
+///
+/// Returns the number of boundaries checked, or a description of the
+/// first divergence.
+pub fn check_chunks_equivalence(chunks: &[Vec<u8>], params: &SimParams) -> Result<usize, String> {
     if chunks.is_empty() {
         return Err("no chunks: empty input".into());
     }
+    let complete = derive_full(&chunks.concat()).ok();
     let mut session = StreamSession::new();
     let mut prefix: Vec<u8> = Vec::new();
     let mut checked = 0usize;
     for (i, part) in chunks.iter().enumerate() {
+        let at = format!("chunk {i}/{}", chunks.len());
         prefix.extend_from_slice(part);
         let append_err = session.append(part).err();
-        if let (None, Some(state), Ok((cold, _))) =
+        if let (None, Some(state), Ok((cold, synthetic))) =
             (&append_err, session.state(), load_lenient_traced(&prefix))
         {
             let fast = &state.loaded;
@@ -478,12 +471,22 @@ pub fn check_chunked_equivalence(
                 || fast.diagnostics != cold.diagnostics
             {
                 return Err(format!(
-                    "chunk {i}/{}: the session's salvaged log ({} records) differs from a \
-                     cold load ({} records)",
-                    chunks.len(),
+                    "{at}: the session's salvaged log ({} records) differs from a cold load \
+                     ({} records)",
                     fast.log.len(),
                     cold.log.len(),
                 ));
+            }
+            if let Ok(full) = fold_log(&cold.log, &synthetic) {
+                if state.plan != full.plan || state.committed != full.committed {
+                    return Err(format!(
+                        "{at}: the session's plan or committed horizon differs from the full \
+                         re-derive's"
+                    ));
+                }
+            }
+            if let Some(complete) = &complete {
+                check_horizon(state, &complete.plan).map_err(|e| format!("{at}: {e}"))?;
             }
         }
         let inc = match append_err {
@@ -496,41 +499,43 @@ pub fn check_chunked_equivalence(
                 let (fa, fb) = (result_fingerprint(&a), result_fingerprint(&b));
                 if fa != fb {
                     return Err(format!(
-                        "chunk {i}/{}: incremental {:016x} != cold {:016x} \
-                         (wall {} vs {}, des {} vs {})",
-                        chunks.len(),
-                        fa,
-                        fb,
-                        a.wall_time,
-                        b.wall_time,
-                        a.des_events,
-                        b.des_events,
+                        "{at}: incremental {fa:016x} != cold {fb:016x} (wall {} vs {}, des {} vs \
+                         {})",
+                        a.wall_time, b.wall_time, a.des_events, b.des_events,
                     ));
                 }
             }
             (Err(ea), Err(eb)) => {
                 let (sa, sb) = (ea.to_string(), eb.to_string());
                 if sa != sb {
-                    return Err(format!(
-                        "chunk {i}/{}: incremental error {sa:?} != cold error {sb:?}",
-                        chunks.len()
-                    ));
+                    return Err(format!("{at}: incremental error {sa:?} != cold error {sb:?}"));
                 }
             }
             (Ok(_), Err(e)) => {
-                return Err(format!(
-                    "chunk {i}/{}: incremental succeeded but cold failed: {e}",
-                    chunks.len()
-                ));
+                return Err(format!("{at}: incremental succeeded but cold failed: {e}"))
             }
             (Err(e), Ok(_)) => {
-                return Err(format!(
-                    "chunk {i}/{}: cold succeeded but incremental failed: {e}",
-                    chunks.len()
-                ));
+                return Err(format!("{at}: cold succeeded but incremental failed: {e}"))
             }
         }
         checked += 1;
     }
     Ok(checked)
+}
+
+/// The horizon contract: every thread's committed ops are a prefix of its
+/// ops in the plan of the complete log, so no later append rewrites them.
+fn check_horizon(state: &PlanState, complete: &ReplayPlan) -> Result<(), String> {
+    for tp in &state.plan.threads {
+        let n = state.committed.get(&tp.id).copied().unwrap_or(0);
+        let fin = complete.thread(tp.id).map_or(&[][..], |t| &t.ops[..]);
+        if n > tp.ops.len() || n > fin.len() || tp.ops[..n] != fin[..n] {
+            return Err(format!(
+                "{} commits {n} ops that are not a prefix of its {} ops in the complete log",
+                tp.id,
+                fin.len()
+            ));
+        }
+    }
+    Ok(())
 }

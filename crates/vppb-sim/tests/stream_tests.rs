@@ -1,9 +1,12 @@
 //! Chunk-equivalence and session-behavior tests for streaming replay.
 
-use vppb_model::{binlog, textlog, SimParams};
+use vppb_model::{binlog, textlog, EventKind, Phase, SimParams, TraceRecord};
 use vppb_recorder::{record, RecordOptions};
-use vppb_sim::{check_chunked_equivalence, cold_run, result_fingerprint, StreamSession};
-use vppb_testkit::fixtures;
+use vppb_sim::{
+    check_chunked_equivalence, check_chunks_equivalence, cold_run, result_fingerprint,
+    StreamSession,
+};
+use vppb_testkit::{every_boundary, fixtures};
 
 fn recorded_bytes_bin(app: &vppb_threads::App) -> Vec<u8> {
     let log = record(app, &RecordOptions::default()).unwrap().log;
@@ -153,4 +156,133 @@ fn session_reports_parse_state() {
     assert!(s.log().is_some());
     assert_eq!(s.bytes().len(), bytes.len());
     s.predict(&SimParams::cpus(2)).unwrap();
+}
+
+/// A lock-step mill like the streaming benchmarks': every thread takes
+/// one shared mutex around a compute slice each round.
+fn mill(workers: u64, rounds: u64) -> vppb_threads::App {
+    let mut b = vppb_threads::AppBuilder::new("mill", "mill.c");
+    let red = b.mutex();
+    let round = move |f: &mut vppb_threads::FnBuilder| {
+        f.loop_n(rounds, |f| {
+            f.work_us(120);
+            f.lock(red);
+            f.work_us(8);
+            f.unlock(red);
+            f.yield_now();
+        });
+    };
+    let w = b.func("miller", round);
+    b.main(move |f| {
+        let s = f.slot();
+        f.loop_n(workers, |f| f.create_into(w, s));
+        round(f);
+        f.loop_n(workers, |f| f.join(s));
+    });
+    b.build().unwrap()
+}
+
+/// Whether a session fed `chunks` is on the incremental fast path after
+/// each append.
+fn fast_after_each(chunks: &[Vec<u8>]) -> Vec<bool> {
+    let mut session = StreamSession::new();
+    chunks
+        .iter()
+        .map(|part| {
+            let _ = session.append(part);
+            session.incremental()
+        })
+        .collect()
+}
+
+#[test]
+fn only_clean_binary_streams_take_the_fast_path() {
+    let cases = [
+        ("two_worker", recorded_bytes_bin(&fixtures::two_worker_app(2))),
+        ("io_and_compute", recorded_bytes_bin(&fixtures::io_and_compute_app())),
+        ("fft", binlog::encode(&fixtures::recorded_fft_log()).unwrap()),
+        ("mill", recorded_bytes_bin(&mill(3, 40))),
+    ];
+    for (name, bytes) in &cases {
+        for seed in 0..3u64 {
+            let chunks = vppb_model::chunk::split_random(bytes, seed, 8);
+            let fast = fast_after_each(&chunks);
+            assert!(fast.iter().all(|&f| f), "{name} seed {seed}: {fast:?}");
+        }
+    }
+
+    let text = recorded_bytes_text(&mill(3, 40));
+    let fast = fast_after_each(&vppb_model::chunk::split_random(&text, 0, 8));
+    assert!(fast.iter().all(|&f| !f), "text: {fast:?}");
+
+    // A zero frame length mid-log is damage the fast path does not model:
+    // from that append on, the session re-derives from the full buffer.
+    let mut damaged = recorded_bytes_bin(&mill(3, 40));
+    let bounds = vppb_model::chunk::record_boundaries(&damaged);
+    let at = bounds[bounds.len() / 2];
+    damaged[at..at + 4].copy_from_slice(&[0; 4]);
+    let chunks = vppb_model::chunk::split_even(&damaged, 8);
+    let fast = fast_after_each(&chunks);
+    let ends = chunks.iter().scan(0, |end, c| {
+        *end += c.len();
+        Some(*end)
+    });
+    for (end, fast) in ends.zip(&fast) {
+        assert_eq!(*fast, end <= at + 4, "damaged frame at byte {at}, chunk ending at {end}");
+    }
+}
+
+#[test]
+fn a_thread_exiting_with_a_lock_held_streams_like_the_cold_path() {
+    // Salvage releases a lock after the holder's last record; when that
+    // record is the thread's thr_exit, the salvaged prefix fails
+    // validation. The fast path must fail it identically.
+    let mut b = vppb_threads::AppBuilder::new("holder", "holder.c");
+    let m = b.mutex();
+    let w = b.func("holder", move |f| {
+        f.work_us(50);
+        f.lock(m);
+        f.work_us(20);
+    });
+    b.main(move |f| {
+        let t = f.create(w);
+        f.work_us(400);
+        f.join(t);
+    });
+    let bytes = recorded_bytes_bin(&b.build().unwrap());
+    for seed in 0..4u64 {
+        check_chunked_equivalence(&bytes, &SimParams::cpus(2), seed)
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+    }
+}
+
+#[test]
+fn a_mark_inside_an_open_call_streams_like_the_cold_path() {
+    // The analyzer pairs a call across a mark, as validation and salvage
+    // do. If the call then dangles, salvage drops its BEFORE before the
+    // mark folds; the fast path does not model that and falls back from
+    // the frame that carries the mark.
+    let mut log = fixtures::recorded_fft_log();
+    let at = log
+        .records
+        .iter()
+        .position(|r| r.thread.0 == 4 && r.phase == Phase::Before)
+        .expect("T4 calls");
+    let start = *log
+        .records
+        .iter()
+        .find(|r| r.thread.0 == 4 && matches!(r.kind, EventKind::ThreadStart { .. }))
+        .expect("T4 starts");
+    log.records.insert(at + 1, TraceRecord { time: log.records[at].time, ..start });
+    for (i, r) in log.records.iter_mut().enumerate() {
+        r.seq = i as u64;
+    }
+    log.validate().expect("the mark sits inside a well-paired call");
+    let bytes = binlog::encode(&log).unwrap();
+    let chunks = every_boundary(&bytes);
+    check_chunks_equivalence(&chunks, &SimParams::cpus(2)).unwrap();
+    // Chunk 0 is the header; chunk k carries record k - 1.
+    let fast = fast_after_each(&chunks);
+    let mark = at + 2;
+    assert!(fast[..mark].iter().all(|&f| f) && !fast[mark..].iter().any(|&f| f), "{fast:?}");
 }

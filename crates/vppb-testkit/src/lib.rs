@@ -52,6 +52,12 @@ pub fn chunked(bytes: &[u8], seed: u64) -> Vec<Vec<u8>> {
     vppb_model::chunk::split_random(bytes, seed, 8)
 }
 
+/// Split raw log bytes at every record boundary, one record per chunk.
+pub fn every_boundary(bytes: &[u8]) -> Vec<Vec<u8>> {
+    let n = vppb_model::chunk::record_boundaries(bytes).len();
+    vppb_model::chunk::split_random(bytes, 0, n)
+}
+
 /// Run the closure with panics captured, reporting the panic payload as
 /// `Err(message)` instead of unwinding into the test harness.
 pub fn quiet<T>(f: impl FnOnce() -> T) -> Result<T, String> {

@@ -645,8 +645,10 @@ const FUZZ_BLOCK: u64 = 100;
 /// scheduler-model × CPU-count × LWP-policy grid (`--model` restricts
 /// the model axis; default both `solaris` and `async`); the two must
 /// agree on the full stream of scheduling decisions, bit for bit.
-/// `--chunked` also streams each recorded log in chunks and holds every
-/// rolling prediction to a cold run of the same prefix. `--shrink`
+/// `--chunked` also streams each recorded log in chunks and holds, at
+/// every chunk boundary, the session's salvaged log, plan and committed
+/// horizon to a full re-derive of the same prefix and its rolling
+/// prediction to a cold run (`vppb_sim::check_chunked_equivalence`). `--shrink`
 /// delta-debugs every divergence to a minimal reproducer and writes it
 /// out as a replayable text log. `--self-test` proves the fuzzer has
 /// teeth: it plants an inverted dispatch tie-break in the oracle over the

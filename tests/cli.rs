@@ -470,3 +470,37 @@ fn lenient_predict_salvages_with_exit_one_and_clean_audit() {
         "salvage report must ride in the metrics dump"
     );
 }
+
+/// A `thread_start` mark between a call's BEFORE and AFTER records: the
+/// checker, the predictor and the streaming watcher pair the call the same
+/// way, so a log `check --strict` passes also predicts, to the speed-up of
+/// the log without the mark.
+#[test]
+fn a_mark_inside_an_open_call_checks_and_predicts_alike() {
+    let dir = tmpdir("mark-in-call");
+    let log = dir.join("fft.vppb");
+    let log_s = log.to_str().unwrap();
+    let (ok, _, stderr) =
+        vppb(&["record", "fft", "--threads", "2", "--scale", "0.02", "-o", log_s]);
+    assert!(ok, "record failed: {stderr}");
+    let text = std::fs::read_to_string(&log).unwrap();
+    let mut lines: Vec<&str> = text.lines().collect();
+    let at = lines.iter().position(|l| l.contains(" T4 B mutex_lock ")).expect("T4 locks");
+    let time = lines[at].split(' ').next().unwrap().to_string();
+    let mark = format!("{time} T4 M thread_start func=0x1000 @0x0");
+    lines.insert(at + 1, &mark);
+    let bad = dir.join("mark.vppb");
+    std::fs::write(&bad, lines.join("\n") + "\n").unwrap();
+    let bad_s = bad.to_str().unwrap();
+
+    let (code, stdout, stderr) = vppb_code(&["check", "--strict", bad_s]);
+    assert_eq!(code, 0, "stdout: {stdout}\nstderr: {stderr}");
+    assert!(stdout.contains("clean"), "{stdout}");
+    let (code, with_mark, stderr) = vppb_code(&["predict", bad_s, "--cpus", "2"]);
+    assert_eq!(code, 0, "predict must accept what check accepts: {stderr}");
+    let (_, without, _) = vppb_code(&["predict", log_s, "--cpus", "2"]);
+    assert_eq!(with_mark, without);
+    let (code, watched, stderr) = vppb_code(&["watch", bad_s, "--cpus", "2", "--chunks", "5"]);
+    assert_eq!(code, 0, "{stderr}");
+    assert_eq!(watched, with_mark, "watch ends on the line predict prints");
+}

@@ -2,13 +2,16 @@
 //! must be **bit-identical** to a cold full-prefix analysis at every chunk
 //! boundary — over the workload fixtures and a 200-seed corpus of fuzzer
 //! programs, split at random record boundaries (every boundary for small
-//! logs).
+//! logs), and the fixtures also at every record boundary.
 
 use vppb_model::{binlog, textlog, SimParams};
 use vppb_oracle::{GenParams, ProgSpec};
 use vppb_recorder::{record, RecordOptions};
-use vppb_sim::{check_chunked_equivalence, cold_run, result_fingerprint, StreamSession};
-use vppb_testkit::{chunked, fixtures, quiet, SilencedPanicHook};
+use vppb_sim::{
+    check_chunked_equivalence, check_chunks_equivalence, cold_run, result_fingerprint,
+    StreamSession,
+};
+use vppb_testkit::{chunked, every_boundary, fixtures, quiet, SilencedPanicHook};
 
 fn recorded(app: &vppb_threads::App) -> Vec<u8> {
     binlog::encode(&record(app, &RecordOptions::default()).unwrap().log).unwrap()
@@ -29,16 +32,34 @@ fn fixture_logs_round_all_boundaries() {
                     .unwrap_or_else(|e| panic!("{name} seed {seed} cpus {cpus}: {e}"));
             }
         }
+        for cpus in [1, 4] {
+            check_chunks_equivalence(&every_boundary(bytes), &SimParams::cpus(cpus))
+                .unwrap_or_else(|e| panic!("{name} every boundary cpus {cpus}: {e}"));
+        }
     }
 }
 
 #[test]
 fn fixture_text_logs_round_all_boundaries() {
-    let log = record(&fixtures::two_worker_app(2), &RecordOptions::default()).unwrap().log;
-    let bytes = textlog::write_log(&log).into_bytes();
-    for seed in 0..3u64 {
-        check_chunked_equivalence(&bytes, &SimParams::cpus(4), seed)
-            .unwrap_or_else(|e| panic!("text seed {seed}: {e}"));
+    let logs = [
+        (
+            "two_worker",
+            record(&fixtures::two_worker_app(2), &RecordOptions::default()).unwrap().log,
+        ),
+        (
+            "io_and_compute",
+            record(&fixtures::io_and_compute_app(), &RecordOptions::default()).unwrap().log,
+        ),
+        ("fft", fixtures::recorded_fft_log()),
+    ];
+    for (name, log) in &logs {
+        let bytes = textlog::write_log(log).into_bytes();
+        for seed in 0..3u64 {
+            check_chunked_equivalence(&bytes, &SimParams::cpus(4), seed)
+                .unwrap_or_else(|e| panic!("{name} text seed {seed}: {e}"));
+        }
+        check_chunks_equivalence(&every_boundary(&bytes), &SimParams::cpus(4))
+            .unwrap_or_else(|e| panic!("{name} text every boundary: {e}"));
     }
 }
 
