@@ -41,11 +41,19 @@
 //! writes every record straight into one buffer sized up front, filling
 //! in each v2 length prefix once its body is written, and returns that
 //! buffer trimmed to its length.
+//!
+//! A log's content id is the [`ContentId`] of its v2 encoding.
+//! [`content_id`] computes it without building that encoding: it feeds
+//! the preamble and each frame, one small body at a time, straight into
+//! the hash. [`CanonicalHasher`] also keeps the hash state after a
+//! log's final leading records, so the id of a log grown at its end
+//! hashes only what follows them.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::diag::{DiagCode, Diagnostic, Pos};
 use crate::event::{EventKind, EventResult, Phase};
+use crate::hash::{ContentHasher, ContentId};
 use crate::ids::{SyncObjId, ThreadId};
 use crate::source::CodeAddr;
 use crate::time::{Duration, Time, NANOS_PER_MICRO};
@@ -146,8 +154,7 @@ pub fn encode_version(log: &TraceLog, version: u16) -> Result<Vec<u8>, VppbError
     if !(MIN_VERSION..=VERSION).contains(&version) {
         return Err(VppbError::InvalidConfig(format!("cannot encode binlog version {version}")));
     }
-    let header = serde_json::to_vec(&log.header)
-        .map_err(|e| VppbError::Io(format!("header encode: {e}")))?;
+    let header = header_json(&log.header)?;
     // Recorded logs average 12–14 bytes per framed record (4 fewer
     // unframed); a log that outgrows the estimate grows the buffer as
     // usual, and the trim below returns it exactly sized either way.
@@ -174,6 +181,106 @@ pub fn encode_version(log: &TraceLog, version: u16) -> Result<Vec<u8>, VppbError
     }
     buf.shrink_to_fit();
     Ok(buf)
+}
+
+fn header_json(header: &LogHeader) -> Result<Vec<u8>, VppbError> {
+    serde_json::to_vec(header).map_err(|e| VppbError::Io(format!("header encode: {e}")))
+}
+
+/// The content id of `log`: [`ContentId::of_bytes`] of its canonical
+/// [`encode`]ing, computed without building that encoding. Fails exactly
+/// when [`encode`] fails.
+pub fn content_id(log: &TraceLog) -> Result<ContentId, VppbError> {
+    let mut h = hash_header(&log.header)?;
+    hash_frames(&mut h, &log.records, 0, &mut Vec::new())?;
+    Ok(h.finish())
+}
+
+/// The hash of a v2 encoding's preamble: magic, version and the
+/// length-prefixed header JSON.
+fn hash_header(header: &LogHeader) -> Result<ContentHasher, VppbError> {
+    let json = header_json(header)?;
+    let mut h = ContentHasher::new();
+    h.write(MAGIC);
+    h.write(&VERSION.to_le_bytes());
+    h.write(&(json.len() as u32).to_le_bytes());
+    h.write(&json);
+    Ok(h)
+}
+
+/// Feed `h` the v2 frames of `records` (length prefix, then the body,
+/// encoded into `scratch`), where `prev_us` is the time in micros of the
+/// record before them. Returns the time of the last one.
+fn hash_frames(
+    h: &mut ContentHasher,
+    records: &[TraceRecord],
+    mut prev_us: u64,
+    scratch: &mut Vec<u8>,
+) -> Result<u64, VppbError> {
+    for r in records {
+        scratch.clear();
+        write_record_body(scratch, r, &mut prev_us)?;
+        h.write(&(scratch.len() as u32).to_le_bytes());
+        h.write(scratch);
+    }
+    Ok(prev_us)
+}
+
+/// A [`content_id`] that resumes instead of starting over, for a log that
+/// grows at its end. It keeps the hash state after the header and after
+/// the first `stable` records of the last log, with the time of the last
+/// of those records (the next frame's delta base), so a call hashes only
+/// the records past that checkpoint. Two events restart the hash from the
+/// header: a different header, which is serialized then, and a `stable`
+/// below the checkpoint.
+#[derive(Debug, Default)]
+pub struct CanonicalHasher {
+    /// The header hashed last, and the hash state right after it.
+    head: Option<(LogHeader, ContentHasher)>,
+    /// The hash state after the first `stable` records.
+    mark: ContentHasher,
+    stable: usize,
+    /// Time in micros of record `stable - 1` (0 when `stable` is 0).
+    prev_us: u64,
+    /// Records the last call hashed.
+    hashed: usize,
+    /// One frame body at a time.
+    scratch: Vec<u8>,
+}
+
+impl CanonicalHasher {
+    /// The id [`content_id`] gives `log`. `stable` promises that the first
+    /// `stable` records of `log` are final: any later call with a `stable`
+    /// at least as large passes a log that begins with them.
+    pub fn id(&mut self, log: &TraceLog, stable: usize) -> Result<ContentId, VppbError> {
+        let head = match &self.head {
+            Some((header, head)) if *header == log.header => *head,
+            _ => {
+                let head = hash_header(&log.header)?;
+                self.head = Some((log.header.clone(), head));
+                (self.mark, self.stable, self.prev_us) = (head, 0, 0);
+                head
+            }
+        };
+        let stable = stable.min(log.records.len());
+        if stable < self.stable {
+            (self.mark, self.stable, self.prev_us) = (head, 0, 0);
+        }
+        let from = self.stable;
+        let mut h = self.mark;
+        let prev_us =
+            hash_frames(&mut h, &log.records[from..stable], self.prev_us, &mut self.scratch)?;
+        (self.mark, self.stable, self.prev_us) = (h, stable, prev_us);
+        hash_frames(&mut h, &log.records[stable..], prev_us, &mut self.scratch)?;
+        self.hashed = log.records.len() - from;
+        Ok(h.finish())
+    }
+
+    /// How many records the last [`Self::id`] call hashed: those past the
+    /// checkpoint it resumed from.
+    pub fn hashed(&self) -> usize {
+        self.hashed
+    }
 }
 
 fn write_record_body(

@@ -310,15 +310,49 @@ impl SimParams {
 pub struct ContentId(pub u128);
 
 impl ContentId {
-    /// Content-address a byte string. Both streams advance in one loop:
-    /// their multiply chains are independent, so the CPU overlaps them.
+    /// Content-address a byte string.
     pub fn of_bytes(bytes: &[u8]) -> ContentId {
-        let (mut lo, mut hi) = (FNV_OFFSET, FNV_OFFSET_HI);
+        let mut h = ContentHasher::new();
+        h.write(bytes);
+        h.finish()
+    }
+}
+
+/// The two FNV-1a streams behind a [`ContentId`], fed piecewise: writing
+/// `a` and then `b` leaves the state writing `a ++ b` leaves, so a copy
+/// taken after a prefix resumes the hash of anything that extends it.
+#[derive(Debug, Clone, Copy)]
+pub struct ContentHasher {
+    lo: u64,
+    hi: u64,
+}
+
+impl Default for ContentHasher {
+    fn default() -> ContentHasher {
+        ContentHasher::new()
+    }
+}
+
+impl ContentHasher {
+    /// The state of the empty byte string.
+    pub fn new() -> ContentHasher {
+        ContentHasher { lo: FNV_OFFSET, hi: FNV_OFFSET_HI }
+    }
+
+    /// Absorb `bytes`. Both streams advance in one loop: their multiply
+    /// chains are independent, so the CPU overlaps them.
+    pub fn write(&mut self, bytes: &[u8]) {
+        let (mut lo, mut hi) = (self.lo, self.hi);
         for &b in bytes {
             lo = (lo ^ b as u64).wrapping_mul(FNV_PRIME);
             hi = (hi ^ b as u64).wrapping_mul(FNV_PRIME);
         }
-        ContentId(((hi as u128) << 64) | lo as u128)
+        (self.lo, self.hi) = (lo, hi);
+    }
+
+    /// The id of everything written so far.
+    pub fn finish(&self) -> ContentId {
+        ContentId(((self.hi as u128) << 64) | self.lo as u128)
     }
 }
 
@@ -541,6 +575,20 @@ mod tests {
             let mut lo = StableHasher::new();
             lo.write_bytes(bytes);
             assert_eq!(id.0 as u64, lo.finish());
+        }
+    }
+
+    #[test]
+    fn piecewise_writes_hash_their_concatenation() {
+        let pattern: Vec<u8> = (0..300u32).map(|i| (i * 13 % 256) as u8).collect();
+        let whole = ContentId::of_bytes(&pattern);
+        for cut in [0, 1, 7, 150, 299, 300] {
+            let mut h = ContentHasher::new();
+            h.write(&pattern[..cut]);
+            let resumed = h;
+            h.write(&pattern[cut..]);
+            assert_eq!(h.finish(), whole, "cut {cut}");
+            assert_eq!(resumed.finish(), ContentId::of_bytes(&pattern[..cut]), "cut {cut}");
         }
     }
 }

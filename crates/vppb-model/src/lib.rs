@@ -40,7 +40,7 @@ pub use dispatch::{DispatchRow, DispatchTable, TS_DEFAULT_PRI, TS_LEVELS, TS_MAX
 pub use error::VppbError;
 pub use event::{EventKind, EventResult, Phase};
 pub use exec::{BlockReason, ExecutionTrace, PlacedEvent, ThreadInfo, ThreadState, Transition};
-pub use hash::{canonical_f64_bits, crc32, ContentId, StableHash, StableHasher};
+pub use hash::{canonical_f64_bits, crc32, ContentHasher, ContentId, StableHash, StableHasher};
 pub use ids::{parse_obj_id, CpuId, LwpId, ObjKind, SyncObjId, ThreadId};
 pub use journal::{Journal, JournalReplay};
 pub use metrics::{AuditReport, ObjContention, SchedMetrics, Violation, ViolationKind};

@@ -19,7 +19,8 @@
 //!    cannot spawn a child it cannot name);
 //! 3. locks held past the end of a thread's records get synthesized
 //!    releases at the thread's last-seen time — a truncated log must not
-//!    deadlock the replay;
+//!    deadlock the replay — unless the thread's last record is its
+//!    `thr_exit`, which nothing may follow;
 //! 4. threads with no `thr_exit` get a synthesized exit at last-seen time;
 //! 5. missing `start_collect` / `end_collect` brackets are synthesized;
 //! 6. the header wall time is clamped to cover the last record, and
@@ -306,11 +307,6 @@ impl HoldLedger {
         self.last.map(|(at, _, _)| at)
     }
 
-    /// Whether closing the thread would synthesize a release.
-    pub fn holds_locks(&self) -> bool {
-        self.releases().next().is_some()
-    }
-
     /// Every lock still held, with its hold count and release kind.
     fn releases(&self) -> impl Iterator<Item = (SyncObjId, i64, EventKind)> + '_ {
         self.held.iter().filter(|(_, &count)| count > 0).filter_map(|(&obj, &count)| {
@@ -323,19 +319,21 @@ impl HoldLedger {
         })
     }
 
-    /// Passes 3+4 for one thread: a release for every lock still held
-    /// and, unless its last record is a `thr_exit`, an exit — all at the
-    /// thread's last-seen time, to be inserted right after its last
-    /// record (which the edits report at index `pos`). Timestamps stay
-    /// monotonic and the replay releases locks exactly where the thread
-    /// stopped.
+    /// Passes 3+4 for one thread that did not exit (whose last record is
+    /// not its `thr_exit`): a release for every lock still held and an
+    /// exit, all at the thread's last-seen time, to be inserted right
+    /// after its last record (which the edits report at index `pos`).
+    /// Timestamps stay monotonic and the replay releases locks exactly
+    /// where the thread stopped. A thread that exited gets nothing: no
+    /// record may follow its `thr_exit`, and the complete log holds any
+    /// lock it kept the same way (the replay's audit reports it).
     pub fn close(
         &self,
         thread: ThreadId,
         pos: u64,
         report: &mut SalvageReport,
     ) -> Vec<TraceRecord> {
-        let Some((_, time, exits)) = self.last else {
+        let Some((_, time, false)) = self.last else {
             return Vec::new();
         };
         let synth = |kind: EventKind, phase: Phase| TraceRecord {
@@ -359,14 +357,12 @@ impl HoldLedger {
                 format!("{thread} still held {obj} at its last record; released at {time}"),
             );
         }
-        if !exits {
-            out.push(synth(EventKind::ThrExit, Phase::Before));
-            report.push(
-                DiagCode::SynthesizedExit,
-                Pos::Record(pos),
-                format!("{thread} has no thr_exit; synthesized at last-seen time {time}"),
-            );
-        }
+        out.push(synth(EventKind::ThrExit, Phase::Before));
+        report.push(
+            DiagCode::SynthesizedExit,
+            Pos::Record(pos),
+            format!("{thread} has no thr_exit; synthesized at last-seen time {time}"),
+        );
         out
     }
 }

@@ -385,7 +385,11 @@ struct FollowStream {
 pub struct AppendResponse {
     /// The stable stream handle (the id of the first uploaded chunk).
     pub id: String,
-    /// Content id of the grown log — what plain `POST /predict` would use.
+    /// Content id of the grown log — what plain `POST /predict` would use,
+    /// and what an upload of the same content returns. The session
+    /// resumes its hash from the log's stable prefix
+    /// ([`vppb_sim::StreamSession::content_id`]), so an append hashes
+    /// only its new records and the salvaged tail.
     pub content_id: String,
     /// Raw bytes buffered in the stream so far.
     pub bytes: usize,
@@ -526,14 +530,18 @@ impl PredictionService {
         ServeError::Unavailable(format!("{what} failed; the server is now read-only: {e}"))
     }
 
-    /// Ingest raw log bytes: lenient salvage, canonical re-encode, content
-    /// hash, store. Idempotent — re-uploading the same content returns the
-    /// same id without replacing the stored log.
+    /// Ingest raw log bytes: lenient salvage, content id, store. The id
+    /// hashes the salvaged log's canonical `binlog` encoding without
+    /// building it ([`binlog::content_id`]), so two damaged uploads that
+    /// salvage to the same log, or the same log in text and binary form,
+    /// share an id, a plan and every memoized prediction. Idempotent —
+    /// re-uploading the same content returns the same id without
+    /// replacing the stored log.
     pub fn upload(&self, raw: &[u8]) -> Result<UploadResponse, ServeError> {
         self.check_available()?;
         let stored = StoredLog::from_raw(raw.to_vec())
             .map_err(|e| ServeError::BadRequest(format!("unsalvageable log: {e}")))?;
-        let id = content_id(&stored.log)?;
+        let id = binlog::content_id(&stored.log).map_err(canonical_encode)?;
         let response = UploadResponse {
             id: id.to_string(),
             program: stored.log.header.program.clone(),
@@ -571,7 +579,7 @@ impl PredictionService {
         };
         let (session, current) = match journaled {
             Some(chunks) if !chunks.is_empty() => {
-                let session = vppb_sim::StreamSession::rebuild(
+                let mut session = vppb_sim::StreamSession::rebuild(
                     std::iter::once(stored.raw.as_slice())
                         .chain(chunks.iter().map(|c| c.as_slice())),
                 );
@@ -581,12 +589,12 @@ impl PredictionService {
                 // buffer does not parse (a journal whose tail chunk tore the
                 // log; the next append can still complete it, exactly like
                 // live).
-                let current = match session_content(&session) {
-                    Some(cid) => {
+                let current = match session.content_id() {
+                    Ok(cid) => {
                         self.register_version(cid, id, session.bytes().len());
                         cid
                     }
-                    None => id,
+                    Err(_) => id,
                 };
                 (session, current)
             }
@@ -630,9 +638,9 @@ impl PredictionService {
             .session
             .append(chunk)
             .map_err(|e| ServeError::BadRequest(format!("buffer not parseable yet: {e}")))?;
+        let cid = stream.session.content_id().map_err(canonical_encode)?;
         let state =
             stream.session.state().ok_or_else(|| ServeError::Internal("no parse state".into()))?;
-        let cid = content_id(&state.loaded.log)?;
         let response = AppendResponse {
             id: id.to_string(),
             content_id: cid.to_string(),
@@ -983,20 +991,10 @@ impl PredictionService {
     }
 }
 
-/// Content id of a salvaged log: the hash of its canonical binary
-/// encoding. Two damaged uploads that salvage to the same log, or the
-/// same log in text and binary form, share an id, a plan and every
-/// memoized prediction.
-fn content_id(log: &TraceLog) -> Result<ContentId, ServeError> {
-    let canonical =
-        binlog::encode(log).map_err(|e| ServeError::Internal(format!("canonical encode: {e}")))?;
-    Ok(ContentId::of_bytes(&canonical))
-}
-
-/// Content id of a session's current (salvaged) log; `None` while its
-/// buffer has not parsed.
-fn session_content(session: &vppb_sim::StreamSession) -> Option<ContentId> {
-    content_id(&session.state()?.loaded.log).ok()
+/// A log whose canonical encoding, and with it its content id, cannot be
+/// computed.
+fn canonical_encode(e: VppbError) -> ServeError {
+    ServeError::Internal(format!("canonical encode: {e}"))
 }
 
 #[cfg(test)]

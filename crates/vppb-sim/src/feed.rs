@@ -22,11 +22,10 @@
 //! properly paired, where the cold path would salvage nothing but the
 //! tail. Any structural surprise (damaged frame, time regression, nested
 //! BEFORE, stray AFTER, a mark inside an open call, a record after
-//! `thr_exit`, a thread exiting while it holds a lock, a create without
-//! its child id, …) flips the feed into permanent [`Mode::Fallback`], and
-//! the session re-derives from the full buffer — the cold path is the
-//! definition of correct, so falling back can never lose fidelity, only
-//! speed.
+//! `thr_exit`, a create without its child id, …) flips the feed into
+//! permanent [`Mode::Fallback`], and the session re-derives from the full
+//! buffer — the cold path is the definition of correct, so falling back
+//! can never lose fidelity, only speed.
 
 use crate::sorter::Fold;
 use crate::stream::PlanState;
@@ -147,9 +146,6 @@ struct FastState {
     fold: Fold,
     /// The salvager's ledger per thread, over the records it would keep.
     ledgers: BTreeMap<ThreadId, HoldLedger>,
-    /// How many leading records of the last built log are `records`
-    /// verbatim; later builds keep them.
-    kept: usize,
 }
 
 impl FastState {
@@ -163,7 +159,6 @@ impl FastState {
             prev_time: Time::ZERO,
             fold: Fold::default(),
             ledgers: BTreeMap::new(),
-            kept: 0,
         }
     }
 
@@ -217,14 +212,10 @@ impl FastState {
             // drops its BEFORE first and folds the mark as the thread's
             // last event; the fold here has already passed it.
             Phase::Mark => open.is_none() && matches!(rec.kind, EventKind::ThreadStart { .. }),
-            // Nested BEFORE: cold drops the earlier one. An exit holding
-            // a lock: cold synthesizes the release after the exit, and
-            // the salvaged log fails validation.
-            Phase::Before => {
-                open.is_none()
-                    && !(rec.kind == EventKind::ThrExit
-                        && self.ledgers.get(&rec.thread).is_some_and(HoldLedger::holds_locks))
-            }
+            // Nested BEFORE: cold drops the earlier one. (An exit holding
+            // a lock settles: salvage closes an exited thread with no
+            // release, as the complete log holds the lock at exit.)
+            Phase::Before => open.is_none(),
             // Stray or mismatched AFTER, or a create that lost its child:
             // cold drops them.
             Phase::After => {
@@ -235,11 +226,13 @@ impl FastState {
         }
     }
 
-    /// Derive the full `(LoadedLog, plan, committed)` for the current
-    /// prefix: the salvager's tail repair over the committed records,
-    /// then [`Fold::finish`]. The log's records go into the vector of
-    /// `prev`, the state the last build returned, past the prefix both
-    /// logs share — so a build costs O(tail + plan size).
+    /// Derive the full `(LoadedLog, plan, committed, stable)` for the
+    /// current prefix: the salvager's tail repair over the committed
+    /// records, then [`Fold::finish`]. The log's records go into the
+    /// vector of `prev`, the caller's current state, past the stable
+    /// prefix both logs share (`prev` begins with its own
+    /// [`PlanState::stable`] committed records, 0 after a full re-derive)
+    /// — so a build costs O(tail + plan size).
     fn build(
         &mut self,
         tail: Option<Diagnostic>,
@@ -275,21 +268,24 @@ impl FastState {
         // the first drop or insert, and the end bracket, can change.
         let first_drop = dropped.first().copied().unwrap_or(usize::MAX);
         let first_insert = inserts.keys().next().map_or(usize::MAX, |&at| at + 1);
-        let kept = first_drop.min(first_insert).min(self.records.len());
-        let mut records =
-            prev.map(|p| std::mem::take(&mut p.loaded.log.records)).unwrap_or_default();
-        records.truncate(self.kept.min(kept));
+        let stable = first_drop.min(first_insert).min(self.records.len());
+        let records = prev
+            .map(|p| {
+                let mut records = std::mem::take(&mut p.loaded.log.records);
+                records.truncate(p.stable.min(stable));
+                records
+            })
+            .unwrap_or_default();
         let mut log = TraceLog { header: self.header.clone(), records };
         salvage::splice(&mut log.records, &self.records, &dropped, &inserts);
         if !pristine {
             salvage::end_bracket(&mut log, &mut report);
             salvage::clamp_wall_time(&mut log, &mut report);
-            salvage::renumber(&mut log, kept, &mut report);
+            salvage::renumber(&mut log, stable, &mut report);
             // `finish` ran on the header before this clamp.
             analysis.plan.recorded_wall = log.header.wall_time;
         }
-        self.kept = kept;
         let loaded = LoadedLog { log, diagnostics: tail.into_iter().collect(), salvage: report };
-        Ok(PlanState { loaded, plan: analysis.plan, committed: analysis.committed })
+        Ok(PlanState { loaded, plan: analysis.plan, committed: analysis.committed, stable })
     }
 }

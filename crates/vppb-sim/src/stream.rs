@@ -41,7 +41,8 @@ use crate::sorter::{analyze, fold_log, Analysis};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use vppb_machine::{run, run_stream, EngineSnapshot, RunResult, StreamControl, StreamOutcome};
-use vppb_model::{chunk, SimParams, StableHasher, ThreadId, TraceLog, VppbError};
+use vppb_model::binlog::{self, CanonicalHasher};
+use vppb_model::{chunk, ContentId, SimParams, StableHasher, ThreadId, TraceLog, VppbError};
 use vppb_recorder::{load_lenient_traced, LoadedLog};
 use vppb_threads::{Action, App, LibCall, TapeCursor};
 
@@ -54,6 +55,10 @@ pub struct PlanState {
     pub plan: ReplayPlan,
     /// Per-thread committed op counts (stable prefix ∩ pre-cv/sem prefix).
     pub(crate) committed: BTreeMap<ThreadId, usize>,
+    /// How many leading records of the log are final: committed records
+    /// verbatim, which every later state of the session begins with
+    /// while the fast path serves it. A full re-derive carries 0.
+    pub stable: usize,
 }
 
 /// One per-configuration checkpoint: the replay engine paused at the edge
@@ -87,6 +92,8 @@ pub struct StreamSession {
     chains: BTreeMap<u64, Chain>,
     feed: IncrementalFeed,
     conv_cache: Option<ConvCache>,
+    /// The current log's content id, resumed across appends.
+    id: CanonicalHasher,
 }
 
 impl StreamSession {
@@ -158,6 +165,26 @@ impl StreamSession {
         };
         self.state = Some(state);
         Ok(self.state.as_ref().unwrap())
+    }
+
+    /// Content id of the current (salvaged) log: the [`ContentId`] of its
+    /// canonical `binlog` encoding, which is never built. The hash
+    /// resumes from the stable prefix ([`PlanState::stable`]) the last
+    /// call left, so on a clean v2 stream an append hashes only its new
+    /// records and the salvaged tail.
+    pub fn content_id(&mut self) -> Result<ContentId, VppbError> {
+        let state = self
+            .state
+            .as_ref()
+            .ok_or_else(|| VppbError::MalformedLog("streaming session has no log yet".into()))?;
+        self.id.id(&state.loaded.log, state.stable)
+    }
+
+    /// How many records the last [`Self::content_id`] call hashed.
+    /// Diagnostics, like [`Self::checkpoint_events`]: on a clean v2
+    /// stream it counts the records past the previous stable prefix.
+    pub fn hashed_records(&self) -> usize {
+        self.id.hashed()
     }
 
     /// Whether appends are served by the incremental fast path
@@ -287,7 +314,7 @@ impl StreamSession {
 fn derive_full(bytes: &[u8]) -> Result<PlanState, VppbError> {
     let (loaded, synthetic) = load_lenient_traced(bytes)?;
     let Analysis { plan, committed, .. } = fold_log(&loaded.log, &synthetic)?;
-    Ok(PlanState { loaded, plan, committed })
+    Ok(PlanState { loaded, plan, committed, stable: 0 })
 }
 
 /// Cold reference run: parse, salvage, analyze and replay `bytes` from
@@ -295,7 +322,7 @@ fn derive_full(bytes: &[u8]) -> Result<PlanState, VppbError> {
 pub fn cold_run(bytes: &[u8], params: &SimParams) -> Result<RunResult, VppbError> {
     let (loaded, _) = load_lenient_traced(bytes)?;
     let plan = analyze(&loaded.log)?;
-    cold_run_state(&PlanState { loaded, plan, committed: BTreeMap::new() }, params)
+    cold_run_state(&PlanState { loaded, plan, committed: BTreeMap::new(), stable: 0 }, params)
 }
 
 fn cold_run_state(state: &PlanState, params: &SimParams) -> Result<RunResult, VppbError> {
@@ -444,6 +471,8 @@ pub fn check_chunked_equivalence(
 /// * the session's salvaged log (records, salvage report, diagnostics)
 ///   equals a cold load's;
 /// * the session's plan and committed horizon equal the full re-derive's;
+/// * the session's resumed content id equals the hash of the cold log's
+///   canonical encoding;
 /// * each thread's committed ops are a prefix of its ops in the plan of
 ///   the complete log (when that log analyzes);
 /// * the rolling prediction equals a cold run.
@@ -462,9 +491,12 @@ pub fn check_chunks_equivalence(chunks: &[Vec<u8>], params: &SimParams) -> Resul
         let at = format!("chunk {i}/{}", chunks.len());
         prefix.extend_from_slice(part);
         let append_err = session.append(part).err();
+        let mut cold_id = None;
         if let (None, Some(state), Ok((cold, synthetic))) =
             (&append_err, session.state(), load_lenient_traced(&prefix))
         {
+            cold_id =
+                Some(binlog::encode(&cold.log).map(|canonical| ContentId::of_bytes(&canonical)));
             let fast = &state.loaded;
             if fast.log != cold.log
                 || fast.salvage != cold.salvage
@@ -487,6 +519,17 @@ pub fn check_chunks_equivalence(chunks: &[Vec<u8>], params: &SimParams) -> Resul
             }
             if let Some(complete) = &complete {
                 check_horizon(state, &complete.plan).map_err(|e| format!("{at}: {e}"))?;
+            }
+        }
+        if let Some(cold_id) = cold_id {
+            let render = |id: Result<ContentId, VppbError>| {
+                id.map_or_else(|e| format!("error: {e}"), |id| id.to_string())
+            };
+            let (a, b) = (render(session.content_id()), render(cold_id));
+            if a != b {
+                return Err(format!(
+                    "{at}: the session's content id {a} differs from a cold load's {b}"
+                ));
             }
         }
         let inc = match append_err {

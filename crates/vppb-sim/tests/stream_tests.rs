@@ -1,7 +1,9 @@
 //! Chunk-equivalence and session-behavior tests for streaming replay.
 
-use vppb_model::{binlog, textlog, EventKind, Phase, SimParams, TraceRecord};
-use vppb_recorder::{record, RecordOptions};
+use vppb_model::{
+    binlog, textlog, ContentId, EventKind, Phase, SimParams, TraceRecord, ViolationKind,
+};
+use vppb_recorder::{load_lenient_traced, record, RecordOptions};
 use vppb_sim::{
     check_chunked_equivalence, check_chunks_equivalence, cold_run, result_fingerprint,
     StreamSession,
@@ -234,9 +236,10 @@ fn only_clean_binary_streams_take_the_fast_path() {
 
 #[test]
 fn a_thread_exiting_with_a_lock_held_streams_like_the_cold_path() {
-    // Salvage releases a lock after the holder's last record; when that
-    // record is the thread's thr_exit, the salvaged prefix fails
-    // validation. The fast path must fail it identically.
+    // The holder exits with its lock held. Salvage synthesizes no release
+    // after a thr_exit: the complete log holds the lock at exit the same
+    // way, and its prediction reports it. So every prefix loads, and the
+    // fast path takes the exit like any other record.
     let mut b = vppb_threads::AppBuilder::new("holder", "holder.c");
     let m = b.mutex();
     let w = b.func("holder", move |f| {
@@ -250,10 +253,50 @@ fn a_thread_exiting_with_a_lock_held_streams_like_the_cold_path() {
         f.join(t);
     });
     let bytes = recorded_bytes_bin(&b.build().unwrap());
+    let first_record = vppb_model::chunk::record_boundaries(&bytes)[1];
+    for cut in first_record..=bytes.len() {
+        load_lenient_traced(&bytes[..cut]).unwrap_or_else(|e| panic!("cut {cut}: {e}"));
+    }
+    let whole = cold_run(&bytes, &SimParams::cpus(2)).unwrap();
+    assert!(
+        whole.audit.violations.iter().any(|v| v.law == ViolationKind::LockHeldAtExit),
+        "{:?}",
+        whole.audit.violations
+    );
     for seed in 0..4u64 {
         check_chunked_equivalence(&bytes, &SimParams::cpus(2), seed)
             .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
     }
+    let chunks = every_boundary(&bytes);
+    check_chunks_equivalence(&chunks, &SimParams::cpus(2)).unwrap();
+    let fast = fast_after_each(&chunks);
+    assert!(fast.iter().all(|&f| f), "{fast:?}");
+}
+
+#[test]
+fn an_append_hashes_only_what_follows_the_stable_prefix() {
+    // The content id must really resume: a silent full rehash per append
+    // would pass every equality check. On a clean v2 mill stream each id
+    // hashes just the records past the previous state's stable prefix —
+    // the new records and the salvaged tail.
+    let bytes = recorded_bytes_bin(&mill(3, 120));
+    let chunks = vppb_model::chunk::split_random(&bytes, 5, 40);
+    assert!(chunks.len() >= 20, "too few chunks: {}", chunks.len());
+    let mut session = StreamSession::new();
+    let (mut stable, mut hashed, mut total) = (0, 0, 0);
+    for (i, part) in chunks.iter().enumerate() {
+        session.append(part).unwrap();
+        assert!(session.incremental(), "chunk {i} left the fast path");
+        let id = session.content_id().unwrap();
+        let state = session.state().unwrap();
+        let log = &state.loaded.log;
+        assert_eq!(id, ContentId::of_bytes(&binlog::encode(log).unwrap()), "chunk {i}");
+        assert_eq!(session.hashed_records(), log.len() - stable, "chunk {i}");
+        (stable, hashed, total) =
+            (state.stable, hashed + session.hashed_records(), total + log.len());
+    }
+    assert!(stable > 0, "the stable prefix never grew");
+    assert!(hashed * 5 < total, "hashed {hashed} records over the session, {total} in its logs");
 }
 
 #[test]

@@ -134,7 +134,9 @@ fn compound_mutation_chaos_sweep_never_panics() {
 /// `c % 3` with `1 + c % 3` stacked mutations. The outcome tally is
 /// pinned, so a change in what ingestion accepts shows up here. (Twenty
 /// of the salvaged mutants report nothing but bytes that are not UTF-8,
-/// which a lenient load replaces with one warning per line.)
+/// which a lenient load replaces with one warning per line. In 142 a
+/// thread exits holding a lock; salvage adds no release after a
+/// `thr_exit`, so they load as the complete log would.)
 #[test]
 fn escalating_chaos_sweep_tally_is_pinned() {
     const SEED: u64 = 427_819_824;
@@ -157,7 +159,7 @@ fn escalating_chaos_sweep_tally_is_pinned() {
     });
     drop(_hook);
     let [pristine, salvaged, rejected] = result.unwrap_or_else(|msg| panic!("{msg}"));
-    assert_eq!((pristine, salvaged, rejected), (92, 458, 650), "pristine, salvaged, rejected");
+    assert_eq!((pristine, salvaged, rejected), (92, 600, 508), "pristine, salvaged, rejected");
 }
 
 #[test]
