@@ -5,7 +5,7 @@ use crate::harness::real_speedup;
 use std::fmt::Write as _;
 use vppb_model::{DispatchTable, Duration, SimParams, Time, VppbError};
 use vppb_recorder::{record, RecordOptions};
-use vppb_sim::{analyze, predict, reference_params, simulate, simulate_plan, speedup};
+use vppb_sim::{analyze, predict, simulate};
 use vppb_threads::AppBuilder;
 use vppb_workloads::{splash, KernelParams};
 
@@ -27,13 +27,8 @@ pub fn barrier_ablation(scale: f64) -> Result<BarrierAblation, VppbError> {
     let with_model = predict(&plan, &rec.log, &SimParams::cpus(8))?.speedup();
     let mut naive = SimParams::cpus(8);
     naive.barrier_aware_broadcast = false;
-    let without = match simulate_plan(&plan, &rec.log, &naive) {
-        Ok(sim) => {
-            // The reference run goes without the model too.
-            let mut uni = reference_params(&naive);
-            uni.barrier_aware_broadcast = false;
-            Some(speedup(simulate_plan(&plan, &rec.log, &uni)?.wall_time, sim.wall_time))
-        }
+    let without = match predict(&plan, &rec.log, &naive) {
+        Ok(p) => Some(p.speedup()),
         Err(VppbError::ReplayDiverged(_)) => None,
         Err(e) => return Err(e),
     };

@@ -82,7 +82,7 @@ pub struct RunOptions<'a> {
     /// transition is made, not by scanning the recorded timeline.
     pub record_trace: bool,
     /// Structured scheduling observer ([`crate::MetricsObserver`],
-    /// [`crate::SchedTrace`], …). `None` skips every emission.
+    /// [`crate::StepRecorder`], …). `None` skips every emission.
     pub observer: Option<&'a mut dyn SchedObserver>,
     /// Deliberate invariant breakage, so tests can prove the end-of-run
     /// auditor catches real corruption. All off by default.
@@ -114,9 +114,7 @@ impl<'a> RunOptions<'a> {
 
 /// Execute `app` on a machine with configuration `cfg`.
 pub fn run(app: &App, cfg: &MachineConfig, opts: RunOptions<'_>) -> Result<RunResult, VppbError> {
-    if cfg.cpus == 0 {
-        return Err(VppbError::InvalidConfig("machine needs at least one CPU".into()));
-    }
+    cfg.check()?;
     app.validate()?;
     Engine::new(app, cfg, opts).run()
 }
@@ -172,9 +170,7 @@ pub fn run_stream(
     opts: RunOptions<'_>,
     control: StreamControl,
 ) -> Result<StreamOutcome, VppbError> {
-    if cfg.cpus == 0 {
-        return Err(VppbError::InvalidConfig("machine needs at least one CPU".into()));
-    }
+    cfg.check()?;
     app.validate()?;
     let mut engine = match control.resume_from {
         Some(snap) => Engine::from_snapshot(app, cfg, opts, *snap)?,

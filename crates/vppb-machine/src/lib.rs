@@ -32,8 +32,7 @@ pub use hooks::{event_kind_of, Hooks, NullHooks};
 pub use idmap::ManipTable;
 pub use jitter::JitterModel;
 pub use observer::{
-    first_divergence, MetricsObserver, SchedEvent, SchedObserver, SchedTrace, StepDivergence,
-    StepRecorder, Tee,
+    first_divergence, MetricsObserver, SchedEvent, SchedObserver, StepDivergence, StepRecorder,
 };
 pub use prioq::{PrioQueue, QueueIndex, PRIO_LEVELS};
 pub use result::{RunLimits, RunResult};

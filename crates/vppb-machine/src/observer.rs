@@ -7,12 +7,11 @@
 //! is never built.
 //!
 //! Two ready-made observers cover the common uses: [`MetricsObserver`]
-//! aggregates a serializable [`SchedMetrics`], and [`SchedTrace`] keeps the
-//! last N events in a ring buffer so a failing run can dump the scheduling
-//! history that led up to the failure.
+//! aggregates a serializable [`SchedMetrics`], and [`StepRecorder`] keeps
+//! the complete decision stream for differential testing.
 
 use crate::result::RunResult;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use vppb_model::{
     BlockReason, CpuId, LwpId, ObjContention, SchedMetrics, SyncObjId, ThreadId, Time,
 };
@@ -164,81 +163,12 @@ impl SchedObserver for MetricsObserver {
     }
 }
 
-/// Keeps the last `capacity` scheduling events in a ring buffer. Attach it
-/// for a failing run and [`SchedTrace::dump`] the history from the error
-/// path.
-#[derive(Debug)]
-pub struct SchedTrace {
-    capacity: usize,
-    buf: VecDeque<(Time, SchedEvent)>,
-    dropped: u64,
-}
-
-impl SchedTrace {
-    /// A ring holding at most `capacity` events (at least 1).
-    pub fn new(capacity: usize) -> SchedTrace {
-        SchedTrace { capacity: capacity.max(1), buf: VecDeque::new(), dropped: 0 }
-    }
-
-    /// Events currently retained, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &(Time, SchedEvent)> {
-        self.buf.iter()
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Events that fell out of the ring.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Render the retained history, one event per line.
-    pub fn dump(&self) -> String {
-        let mut out = String::new();
-        if self.dropped > 0 {
-            out.push_str(&format!("... {} earlier events dropped ...\n", self.dropped));
-        }
-        for (t, ev) in &self.buf {
-            out.push_str(&format!("[{t}] {ev:?}\n"));
-        }
-        out
-    }
-}
-
-impl SchedObserver for SchedTrace {
-    fn on_sched(&mut self, now: Time, ev: &SchedEvent) {
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back((now, *ev));
-    }
-}
-
-/// Fans one event stream out to two observers (e.g. metrics + ring trace).
-pub struct Tee<'a>(pub &'a mut dyn SchedObserver, pub &'a mut dyn SchedObserver);
-
-impl SchedObserver for Tee<'_> {
-    fn on_sched(&mut self, now: Time, ev: &SchedEvent) {
-        self.0.on_sched(now, ev);
-        self.1.on_sched(now, ev);
-    }
-}
-
 /// Records the *complete* scheduling-decision stream of a run, unabridged.
 ///
 /// This is the capture side of differential testing: two runs whose
 /// recorded streams compare equal made bit-identical scheduling decisions
-/// at bit-identical virtual times. Unlike [`SchedTrace`] nothing is ever
-/// dropped, so the recorder is only appropriate for bounded test programs.
+/// at bit-identical virtual times. Nothing is ever dropped, so the
+/// recorder is only appropriate for bounded test programs.
 #[derive(Debug, Default)]
 pub struct StepRecorder {
     steps: Vec<(Time, SchedEvent)>,
@@ -359,19 +289,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_trace_wraps_and_counts_drops() {
-        let mut tr = SchedTrace::new(2);
-        for i in 0..5 {
-            tr.on_sched(Time(i), &dispatch(i as u32));
-        }
-        assert_eq!(tr.len(), 2);
-        assert_eq!(tr.dropped(), 3);
-        let dump = tr.dump();
-        assert!(dump.contains("3 earlier events dropped"));
-        assert!(dump.contains("Dispatch"));
-    }
-
-    #[test]
     fn step_recorder_keeps_everything_and_diffs_pinpoint() {
         let mut a = StepRecorder::new();
         let mut b = StepRecorder::new();
@@ -394,17 +311,5 @@ mod tests {
         assert_eq!(d.index, 3);
         assert!(d.right.is_none());
         assert!(d.to_string().contains("<stream ended>"));
-    }
-
-    #[test]
-    fn tee_feeds_both() {
-        let mut a = MetricsObserver::new();
-        let mut b = SchedTrace::new(8);
-        {
-            let mut tee = Tee(&mut a, &mut b);
-            tee.on_sched(Time(0), &dispatch(1));
-        }
-        assert_eq!(a.into_metrics().dispatches, 1);
-        assert_eq!(b.len(), 1);
     }
 }

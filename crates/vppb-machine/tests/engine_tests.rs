@@ -34,6 +34,27 @@ fn independent_workers_run_in_parallel_on_two_cpus() {
 }
 
 #[test]
+fn a_machine_past_the_bounds_is_an_invalid_config() {
+    // 1025 CPUs would size per-CPU state, and a fixed pool of 1025 LWPs
+    // would create them all, before a single event; both are refused
+    // first, by `run` and `run_stream` alike.
+    let app = two_worker_app(1);
+    let too_many_cpus = cfg(MachineConfig::MAX_CPUS + 1);
+    let too_many_lwps = cfg(2).with_lwps(LwpPolicy::Fixed(MachineConfig::MAX_LWPS + 1));
+    for c in [too_many_cpus, too_many_lwps, cfg(0)] {
+        let mut hooks = NullHooks;
+        let err = run(&app, &c, RunOptions::new(&mut hooks)).unwrap_err();
+        assert!(matches!(err, VppbError::InvalidConfig(_)), "{err}");
+        let control = vppb_machine::StreamControl::default();
+        let err = vppb_machine::run_stream(&app, &c, RunOptions::new(&mut hooks), control)
+            .map(|_| ())
+            .unwrap_err();
+        assert!(matches!(err, VppbError::InvalidConfig(_)), "{err}");
+    }
+    go(&app, &cfg(MachineConfig::MAX_CPUS));
+}
+
+#[test]
 fn three_cpus_do_not_help_two_threads() {
     let app = two_worker_app(100);
     let r2 = go(&app, &exact(cfg(2)));

@@ -8,6 +8,7 @@
 //! (creation 6.7× and synchronization 5.9× more expensive than unbound).
 
 use crate::dispatch::DispatchTable;
+use crate::error::VppbError;
 use crate::ids::{CpuId, ThreadId};
 use crate::time::Duration;
 use serde::{Deserialize, Serialize};
@@ -230,7 +231,80 @@ pub struct MachineConfig {
     pub model: ModelKind,
 }
 
+/// A machine setting no replay can hold, and which setting it is.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConfigError {
+    /// The refused setting as requests spell it (`cpus`, `lwps` or
+    /// `comm_delay_us`; the CLI's flags spell it with dashes), or `None`
+    /// when no single setting is at fault (a sweep grid with too many
+    /// cells).
+    pub field: Option<&'static str>,
+    /// Why the value is refused.
+    pub reason: String,
+}
+
+impl ConfigError {
+    /// A refused value of `field`.
+    pub fn field(field: &'static str, reason: impl Into<String>) -> ConfigError {
+        ConfigError { field: Some(field), reason: reason.into() }
+    }
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.field {
+            Some(field) => write!(f, "`{field}`: {}", self.reason),
+            None => f.write_str(&self.reason),
+        }
+    }
+}
+
+impl From<ConfigError> for VppbError {
+    fn from(e: ConfigError) -> VppbError {
+        VppbError::InvalidConfig(e.to_string())
+    }
+}
+
 impl MachineConfig {
+    /// Most processors a machine may have.
+    pub const MAX_CPUS: u32 = 1024;
+    /// Largest fixed LWP pool ([`LwpPolicy::Fixed`]).
+    pub const MAX_LWPS: u32 = 1024;
+    /// Longest cross-CPU communication delay: one second.
+    pub const MAX_COMM_DELAY: Duration = Duration(1_000_000_000);
+
+    /// The one check of the values a replay sizes its state by: 1 to
+    /// [`Self::MAX_CPUS`] processors (the engine allocates per CPU), a
+    /// fixed pool of at most [`Self::MAX_LWPS`] LWPs (it creates them all
+    /// at start; a pool of 0 still means 1), and a communication delay of
+    /// at most [`Self::MAX_COMM_DELAY`]. Every engine run calls it, so a
+    /// bad value is an [`VppbError::InvalidConfig`], never an allocation
+    /// failure.
+    pub fn check(&self) -> Result<(), ConfigError> {
+        if self.cpus == 0 {
+            return Err(ConfigError::field("cpus", "machine needs at least one CPU"));
+        }
+        if self.cpus > Self::MAX_CPUS {
+            let reason = format!("{} CPUs is more than the bound of {}", self.cpus, Self::MAX_CPUS);
+            return Err(ConfigError::field("cpus", reason));
+        }
+        if let LwpPolicy::Fixed(n) = self.lwps {
+            if n > Self::MAX_LWPS {
+                let reason = format!("{n} LWPs is more than the bound of {}", Self::MAX_LWPS);
+                return Err(ConfigError::field("lwps", reason));
+            }
+        }
+        if self.comm_delay > Self::MAX_COMM_DELAY {
+            let reason = format!(
+                "{} us is longer than the bound of {} us",
+                self.comm_delay.nanos() as f64 / 1e3,
+                Self::MAX_COMM_DELAY.as_micros()
+            );
+            return Err(ConfigError::field("comm_delay_us", reason));
+        }
+        Ok(())
+    }
+
     /// A machine like the paper's validation host: 8 CPUs, one LWP per
     /// thread is *not* assumed — SPLASH-style programs call
     /// `thr_setconcurrency`, so the pool follows the program.
@@ -396,6 +470,30 @@ mod tests {
         assert_eq!(LwpPolicy::PerThread.pool_size(10, 2), 10);
         assert_eq!(LwpPolicy::FollowProgram.pool_size(10, 6), 6);
         assert_eq!(LwpPolicy::FollowProgram.pool_size(10, 0), 1);
+    }
+
+    #[test]
+    fn the_check_bounds_what_a_replay_allocates() {
+        let m = MachineConfig::default();
+        let at_bounds = m
+            .clone()
+            .with_cpus(MachineConfig::MAX_CPUS)
+            .with_lwps(LwpPolicy::Fixed(MachineConfig::MAX_LWPS))
+            .with_comm_delay(MachineConfig::MAX_COMM_DELAY);
+        assert_eq!(at_bounds.check(), Ok(()));
+        assert_eq!(m.clone().with_lwps(LwpPolicy::Fixed(0)).check(), Ok(()), "0 means 1");
+        let refused = [
+            (m.clone().with_cpus(0), "cpus"),
+            (m.clone().with_cpus(MachineConfig::MAX_CPUS + 1), "cpus"),
+            (m.clone().with_lwps(LwpPolicy::Fixed(MachineConfig::MAX_LWPS + 1)), "lwps"),
+            (m.clone().with_comm_delay(Duration(1_000_000_001)), "comm_delay_us"),
+        ];
+        for (cfg, field) in refused {
+            let e = cfg.check().unwrap_err();
+            assert_eq!(e.field, Some(field), "{e}");
+            let e = VppbError::from(e);
+            assert!(matches!(&e, VppbError::InvalidConfig(m) if m.contains(field)), "{e}");
+        }
     }
 
     #[test]

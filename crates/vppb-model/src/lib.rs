@@ -32,8 +32,8 @@ pub mod trace;
 pub mod vfs;
 
 pub use config::{
-    BaseCosts, Binding, BoundCosts, FaultInjection, LwpPolicy, MachineConfig, ModelKind, SimParams,
-    ThreadManip,
+    BaseCosts, Binding, BoundCosts, ConfigError, FaultInjection, LwpPolicy, MachineConfig,
+    ModelKind, SimParams, ThreadManip,
 };
 pub use diag::{DiagCode, Diagnostic, Pos, Severity};
 pub use dispatch::{DispatchRow, DispatchTable, TS_DEFAULT_PRI, TS_LEVELS, TS_MAX_PRI};

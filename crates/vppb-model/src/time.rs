@@ -115,6 +115,14 @@ impl Duration {
         Duration(us * NANOS_PER_MICRO)
     }
 
+    /// A span of `us` microseconds, or `None` when that many nanoseconds
+    /// do not fit in a `u64` (where [`Duration::from_micros`] overflows,
+    /// and wraps in a release build).
+    #[inline]
+    pub fn checked_from_micros(us: u64) -> Option<Duration> {
+        us.checked_mul(NANOS_PER_MICRO).map(Duration)
+    }
+
     /// A span of `ms` milliseconds.
     #[inline]
     pub fn from_millis(ms: u64) -> Duration {
@@ -275,6 +283,17 @@ pub fn parse_time(s: &str) -> Option<Time> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn checked_micros_refuse_what_would_wrap() {
+        let max = u64::MAX / NANOS_PER_MICRO;
+        assert_eq!(Duration::checked_from_micros(1_000_000), Some(Duration::from_secs(1)));
+        assert_eq!(Duration::checked_from_micros(max), Some(Duration(max * NANOS_PER_MICRO)));
+        // One more microsecond is 2^64 + 384 ns: unchecked, it wraps to 384 ns.
+        assert_eq!(max + 1, 18_446_744_073_709_552);
+        assert_eq!(Duration::checked_from_micros(max + 1), None);
+        assert_eq!(Duration::checked_from_micros(u64::MAX), None);
+    }
 
     #[test]
     fn display_round_trips_at_microsecond_resolution() {

@@ -75,9 +75,7 @@ pub fn run_with(
     opts: RunOptions<'_>,
     tweaks: OracleTweaks,
 ) -> Result<RunResult, VppbError> {
-    if cfg.cpus == 0 {
-        return Err(VppbError::InvalidConfig("machine needs at least one CPU".into()));
-    }
+    cfg.check()?;
     app.validate()?;
     Oracle::new(app, cfg, opts, tweaks).run()
 }

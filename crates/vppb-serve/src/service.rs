@@ -22,13 +22,13 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use vppb_model::{
-    binlog, ContentId, Duration, LwpPolicy, ModelKind, SalvageReport, SchedMetrics, SimParams,
+    binlog, ConfigError, ContentId, LwpPolicy, ModelKind, SalvageReport, SchedMetrics, SimParams,
     Time, TraceLog, Vfs, VppbError,
 };
 use vppb_recorder::load_lenient_bytes;
 use vppb_sim::{
-    analyze, reference_params, simulate_plan, simulate_plan_metrics, speedup, sweep_plan,
-    CacheStats, PlanCache, SweepGrid, SweepPoint,
+    analyze, reference_params, sim_params, simulate_plan, simulate_plan_metrics, speedup,
+    sweep_plan, CacheStats, PlanCache, RunResult, SweepGrid, SweepPoint,
 };
 
 use crate::persist::{Durability, DurabilityStats, StartupReport};
@@ -130,16 +130,21 @@ pub struct UploadResponse {
 }
 
 /// `POST /predict` request body. Every field except `id` is optional in
-/// the JSON; absent fields take the defaults below.
+/// the JSON; absent fields take the defaults below. The machine fields
+/// become simulation parameters through [`vppb_sim::sim_params`], so a
+/// value out of its bounds is a 400 that names the field, before any
+/// replay.
 #[derive(Debug, Clone)]
 pub struct PredictRequest {
     /// Content id returned by `POST /logs`.
     pub id: String,
-    /// Simulated processor count (default 8).
+    /// Simulated processor count, 1 to 1024 (default 8).
     pub cpus: u32,
-    /// Fixed LWP-pool size (default: one LWP per thread, like the CLI).
+    /// Fixed LWP-pool size, at most 1024; 0 means 1 (default: one LWP per
+    /// thread, like the CLI).
     pub lwps: Option<u32>,
-    /// Cross-CPU communication delay in µs (default: machine default).
+    /// Cross-CPU communication delay in µs, at most 1 s (default: the
+    /// machine default, 1 µs).
     pub comm_delay_us: Option<u64>,
     /// User-level scheduling model, `"solaris"` (default) or `"async"`.
     pub model: ModelKind,
@@ -198,19 +203,14 @@ impl PredictRequest {
         }
     }
 
-    /// The simulation parameters this request describes. Mirrors the
-    /// `vppb predict`/`simulate` flag handling so service and CLI agree.
-    fn params(&self) -> SimParams {
-        let mut params = SimParams::cpus(self.cpus);
-        params.machine.model = self.model;
-        if let Some(l) = self.lwps {
-            params.machine.lwps = LwpPolicy::Fixed(l);
-        }
-        if let Some(us) = self.comm_delay_us {
-            params.machine.comm_delay = Duration::from_micros(us);
-        }
+    /// The simulation parameters this request describes, built by the
+    /// builder the CLI flags go through, so service and CLI agree.
+    fn params(&self) -> Result<SimParams, ServeError> {
+        let lwps = self.lwps.map_or(LwpPolicy::PerThread, LwpPolicy::Fixed);
+        let mut params =
+            sim_params(self.cpus, lwps, self.comm_delay_us, self.model).map_err(bad_config)?;
         params.faults.panic_after_events = self.panic_after_events;
-        params
+        Ok(params)
     }
 }
 
@@ -241,16 +241,19 @@ pub struct PredictResponse {
     pub des_events: u64,
 }
 
-/// `POST /sweep` request body: a [`SweepGrid`] over a stored log.
+/// `POST /sweep` request body: a [`SweepGrid`] over a stored log. The
+/// grid expands through [`SweepGrid::try_configs`]: 1 to 4096 cells,
+/// each bounded like a [`PredictRequest`], or a 400 before any replay.
 #[derive(Debug, Clone)]
 pub struct SweepRequest {
     /// Content id returned by `POST /logs`.
     pub id: String,
-    /// Simulated processor counts (default `[1, 2, 4, 8]`).
+    /// Simulated processor counts, each 1 to 1024 (default `[1, 2, 4, 8]`).
     pub cpus: Vec<u32>,
-    /// LWP policies: `"per-thread"`, `"follow"`, or a fixed count.
+    /// LWP policies: `"per-thread"`, `"follow"`, or a fixed count of at
+    /// most 1024.
     pub lwps: Option<Vec<String>>,
-    /// Cross-CPU communication delays in µs.
+    /// Cross-CPU communication delays in µs, each at most 1 s.
     pub comm_delay_us: Option<Vec<u64>>,
     /// Scheduling models: `"solaris"` and/or `"async"` (default: solaris).
     pub model: Option<Vec<String>>,
@@ -433,15 +436,6 @@ fn absorb(agg: &mut SchedMetrics, m: &SchedMetrics) {
     agg.total_cpu_ns += m.total_cpu_ns;
     agg.des_events += m.des_events;
     agg.n_threads = agg.n_threads.max(m.n_threads);
-}
-
-/// What a prediction reads off one replay, whichever way it ran.
-struct Replay {
-    wall: Time,
-    audit_clean: bool,
-    des_events: u64,
-    /// Scheduling counters, when the replay collected them.
-    metrics: Option<SchedMetrics>,
 }
 
 /// Memoized responses keyed `(content id, params fingerprint)`; the flag
@@ -677,6 +671,8 @@ impl PredictionService {
         id: &str,
         cpus: u32,
     ) -> Result<(Arc<PredictResponse>, CacheHit), ServeError> {
+        let params = sim_params(cpus, LwpPolicy::PerThread, None, ModelKind::SolarisTs)
+            .map_err(bad_config)?;
         let sid = self.parse_id(id)?;
         let slot = self.session(sid)?;
         let mut stream = slot.lock().expect("session lock");
@@ -686,20 +682,14 @@ impl PredictionService {
             .log()
             .map(|l| l.header.program.clone())
             .ok_or_else(|| ServeError::Internal("no parse state".into()))?;
-        let (current, params) = (stream.current, SimParams::cpus(cpus));
+        let current = stream.current;
         let key = (current, params.fingerprint());
         if let Some(hit) = self.memo_hit(key) {
             return Ok(hit);
         }
         // Follow runs stay out of the `/metrics` scheduling rollup.
         self.predict_content(key, &current.to_string(), &program, &params, |p, _| {
-            let r = stream.session.predict(p)?;
-            Ok(Replay {
-                wall: r.wall_time,
-                audit_clean: r.audit.is_clean(),
-                des_events: r.des_events,
-                metrics: None,
-            })
+            Ok((stream.session.predict(p)?, None))
         })
     }
 
@@ -723,13 +713,13 @@ impl PredictionService {
                 req.delay_ms
             )));
         }
+        let params = req.params()?;
         let id = self.parse_id(&req.id)?;
         if req.delay_ms > 0 {
             // Documented test/ops knob; occupies the worker like a long
             // replay would, making queue backpressure deterministic.
             std::thread::sleep(std::time::Duration::from_millis(req.delay_ms));
         }
-        let params = req.params();
         let key = (id, params.fingerprint());
         if let Some(hit) = self.memo_hit(key) {
             return Ok(hit);
@@ -743,18 +733,12 @@ impl PredictionService {
                 plan = Some(self.plans.get_or_build(id, || analyze(log))?.0);
             }
             let plan = plan.as_deref().expect("looked up above");
-            let (run, metrics) = if rollup {
+            if rollup {
                 let (run, m) = simulate_plan_metrics(plan, log, params)?;
-                (run, Some(m))
+                Ok((run, Some(m)))
             } else {
-                (simulate_plan(plan, log, params)?, None)
-            };
-            Ok(Replay {
-                wall: run.wall_time,
-                audit_clean: run.audit.is_clean(),
-                des_events: run.des_events,
-                metrics,
-            })
+                Ok((simulate_plan(plan, log, params)?, None))
+            }
         })
     }
 
@@ -772,7 +756,7 @@ impl PredictionService {
         id: &str,
         program: &str,
         params: &SimParams,
-        mut replay: impl FnMut(&SimParams, bool) -> Result<Replay, VppbError>,
+        mut replay: impl FnMut(&SimParams, bool) -> Result<(RunResult, Option<SchedMetrics>), VppbError>,
     ) -> Result<(Arc<PredictResponse>, CacheHit), ServeError> {
         self.counters.lock().expect("counters lock").result_misses += 1;
 
@@ -784,21 +768,21 @@ impl PredictionService {
         let uni_wall = match memoized_uni {
             Some(w) => Time(w),
             None => {
-                let w = replay(&reference_params(params), false).map_err(internal)?.wall;
+                let w = replay(&reference_params(params), false).map_err(internal)?.0.wall_time;
                 self.uni_walls.lock().expect("uni lock").insert(uni_key, w.nanos());
                 w
             }
         };
-        let run = replay(params, true).map_err(internal)?;
+        let (run, metrics) = replay(params, true).map_err(internal)?;
         let response = Arc::new(PredictResponse {
             id: id.to_string(),
             program: program.to_string(),
             cpus: params.machine.cpus,
             model: params.machine.model.name().to_string(),
-            wall_ns: run.wall.nanos(),
+            wall_ns: run.wall_time.nanos(),
             uni_wall_ns: uni_wall.nanos(),
-            speedup: speedup(uni_wall, run.wall),
-            audit_clean: run.audit_clean,
+            speedup: speedup(uni_wall, run.wall_time),
+            audit_clean: run.audit.is_clean(),
             des_events: run.des_events,
         });
         {
@@ -809,7 +793,7 @@ impl PredictionService {
             } else {
                 c.audits_violated += 1;
             }
-            if let Some(m) = &run.metrics {
+            if let Some(m) = &metrics {
                 absorb(&mut c.sched, m);
             }
         }
@@ -848,10 +832,6 @@ impl PredictionService {
     /// Serve one what-if sweep, reusing the cached plan.
     pub fn sweep(&self, req: &SweepRequest) -> Result<SweepResponse, ServeError> {
         let id = self.parse_id(&req.id)?;
-        let stored = self.stored(id)?;
-        if req.cpus.is_empty() {
-            return Err(ServeError::BadRequest("sweep needs at least one CPU count".into()));
-        }
         let mut grid = SweepGrid::over_cpus(req.cpus.clone());
         if let Some(specs) = &req.lwps {
             let mut lwps = Vec::new();
@@ -864,8 +844,7 @@ impl PredictionService {
             grid = grid.with_lwps(lwps);
         }
         if let Some(delays) = &req.comm_delay_us {
-            let delays: Vec<Duration> = delays.iter().copied().map(Duration::from_micros).collect();
-            grid = grid.with_comm_delays(delays);
+            grid = grid.with_comm_delays_us(delays.clone());
         }
         if let Some(specs) = &req.model {
             let mut models = Vec::new();
@@ -874,7 +853,8 @@ impl PredictionService {
             }
             grid = grid.with_models(models);
         }
-        let configs = grid.configs();
+        let configs = grid.try_configs().map_err(bad_config)?;
+        let stored = self.stored(id)?;
         let (plan, _) = self
             .plans
             .get_or_build(id, || analyze(&stored.log))
@@ -989,6 +969,11 @@ impl PredictionService {
         let stream = slot.lock().expect("session lock");
         Some(stream.session.bytes().get(..v.len)?.to_vec())
     }
+}
+
+/// A configuration [`sim_params`] refused: a bad request naming the field.
+fn bad_config(e: ConfigError) -> ServeError {
+    ServeError::BadRequest(format!("bad configuration: {e}"))
 }
 
 /// A log whose canonical encoding, and with it its content id, cannot be
@@ -1402,6 +1387,57 @@ mod tests {
         assert_eq!(hit, CacheHit::Miss);
         let m = svc.metrics();
         assert!(m.durability.as_ref().unwrap().degraded);
+    }
+
+    #[test]
+    fn out_of_bounds_configurations_are_bad_requests_before_any_replay() {
+        let svc = PredictionService::new(1 << 20);
+        let up = svc.upload(&recorded_bytes()).unwrap();
+        let req = |cpus| PredictRequest::new(&up.id, cpus);
+        let wrapping_us = 18_446_744_073_709_552; // 2^64 + 384 ns
+        let predicts = [
+            ("cpus", req(u32::MAX)),
+            ("cpus", req(0)),
+            ("lwps", PredictRequest { lwps: Some(u32::MAX), ..req(2) }),
+            ("comm_delay_us", PredictRequest { comm_delay_us: Some(wrapping_us), ..req(2) }),
+            ("comm_delay_us", PredictRequest { comm_delay_us: Some(1_000_001), ..req(2) }),
+        ];
+        let sweep = |cpus: Vec<u32>, lwps: &[&str], comm_delay_us: Option<Vec<u64>>| {
+            svc.sweep(&SweepRequest {
+                id: up.id.clone(),
+                cpus,
+                lwps: Some(lwps.iter().map(|s| s.to_string()).collect()),
+                comm_delay_us,
+                model: None,
+                jobs: 1,
+            })
+        };
+        let mut refusals = Vec::new();
+        for (field, req) in &predicts {
+            refusals.push((*field, svc.predict(req).map(|_| ()).unwrap_err()));
+        }
+        for cpus in [0, u32::MAX] {
+            refusals.push(("cpus", svc.predict_follow(&up.id, cpus).map(|_| ()).unwrap_err()));
+        }
+        for (field, result) in [
+            ("cpus", sweep(vec![u32::MAX], &["follow"], None)),
+            ("cpus", sweep(vec![2, 0], &["per-thread"], None)),
+            ("lwps", sweep(vec![2], &["2", "4294967295"], None)),
+            ("comm_delay_us", sweep(vec![2], &["per-thread"], Some(vec![1, wrapping_us]))),
+            ("4097 x 1 x 1 x 1 cells", sweep(vec![2; 4097], &["per-thread"], None)),
+            ("1 x 0 x 1 x 1 cells", sweep(vec![2], &[], None)),
+            ("0 x 1 x 1 x 1 cells", sweep(vec![], &["per-thread"], None)),
+        ] {
+            refusals.push((field, result.map(|_| ()).unwrap_err()));
+        }
+        for (field, err) in &refusals {
+            assert_eq!(err.status(), 400, "{field}: {}", err.message());
+            assert!(err.message().contains(field), "names `{field}`: {}", err.message());
+        }
+        let m = svc.metrics();
+        assert_eq!((m.result_cache.misses, m.plan_cache.misses, m.sweeps), (0, 0, 0), "no replay");
+        let (ok, _) = svc.predict(&req(4)).unwrap();
+        assert!(ok.speedup > 1.0);
     }
 
     #[test]

@@ -156,14 +156,6 @@ impl PlanCache {
         }
     }
 
-    /// Drop one entry (e.g. when its log is deleted). No-op if absent.
-    pub fn invalidate(&self, key: ContentId) {
-        let mut inner = self.inner.lock().expect("plan cache lock");
-        if let Some(e) = inner.map.remove(&key) {
-            inner.resident -= e.bytes;
-        }
-    }
-
     /// A snapshot of the counters.
     pub fn stats(&self) -> CacheStats {
         let inner = self.inner.lock().expect("plan cache lock");
@@ -284,18 +276,5 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.entries, 1);
         assert_eq!(s.hits + s.misses, 8);
-    }
-
-    #[test]
-    fn invalidate_forces_a_rebuild() {
-        let log = small_log(1);
-        let cache = PlanCache::new(1 << 20);
-        let key = ContentId::of_bytes(b"inv");
-        cache.get_or_build(key, || Ok(plan_of(&log))).unwrap();
-        cache.invalidate(key);
-        assert_eq!(cache.stats().entries, 0);
-        assert_eq!(cache.stats().resident_bytes, 0);
-        let (_, hit) = cache.get_or_build(key, || Ok(plan_of(&log))).unwrap();
-        assert!(!hit);
     }
 }

@@ -4,6 +4,10 @@
 //! hardware configuration and the scheduling parameters, and produces the
 //! predicted multiprocessor execution.
 //!
+//! Configuration from outside the program becomes
+//! [`vppb_model::SimParams`] through [`sweep::sim_params`] alone, which
+//! checks it.
+//!
 //! Pipeline: [`sorter::analyze`] sorts the log into per-thread event lists
 //! (fig. 4) and precomputes replay inputs; [`sim::build_replay_app`] turns
 //! them into a replay app whose every thread body is a flat tape
@@ -31,11 +35,15 @@ pub use plan::{CvEpisode, CvPlan, ReplayOp, ReplayPlan, ThreadPlan};
 pub use rules::ReplayRules;
 pub use sim::{
     build_replay_app, predict, reference_params, replay_with_engine, simulate, simulate_plan,
-    simulate_plan_metrics, speedup, Prediction, SimulatedExecution,
+    simulate_plan_metrics, speedup, Prediction,
 };
 pub use sorter::{analyze, analyze_with_stability};
 pub use stream::{
     check_chunked_equivalence, check_chunks_equivalence, cold_run, result_fingerprint, PlanState,
     StreamSession,
 };
-pub use sweep::{lwp_bound, sweep, sweep_plan, SweepConfig, SweepGrid, SweepOutcome, SweepPoint};
+pub use sweep::{
+    lwp_bound, sim_params, sweep, sweep_plan, SweepConfig, SweepGrid, SweepOutcome, SweepPoint,
+};
+/// What every replay returns.
+pub use vppb_machine::RunResult;

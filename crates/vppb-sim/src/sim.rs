@@ -1,7 +1,14 @@
-//! The Simulator's front door: log in, predicted execution out (boxes
-//! d → g of the paper's fig. 1).
+//! The Simulator's front door: a plan of a log and checked
+//! [`SimParams`] in, one [`RunResult`] out (boxes d → g of the paper's
+//! fig. 1).
+//!
+//! Outside input (CLI flags, service requests, sweep grid cells) becomes
+//! `SimParams` through [`crate::sim_params`] only, and every engine run
+//! checks the machine again ([`vppb_model::MachineConfig::check`]).
+//! [`simulate`], [`simulate_plan`] and [`simulate_plan_metrics`] replay
+//! once; [`predict`] divides the [`reference_params`] run by the N-CPU
+//! run.
 
-use crate::divergence::DivergenceReport;
 use crate::plan::ReplayPlan;
 use crate::rules::ReplayRules;
 use crate::sorter::analyze;
@@ -9,48 +16,8 @@ use vppb_machine::{
     run, JitterModel, ManipTable, MetricsObserver, NullHooks, RunLimits, RunOptions, RunResult,
     SchedObserver,
 };
-use vppb_model::{
-    AuditReport, Duration, ExecutionTrace, SchedMetrics, SimParams, ThreadId, Time, TraceLog,
-    VppbError,
-};
+use vppb_model::{Duration, SchedMetrics, SimParams, ThreadId, Time, TraceLog, VppbError};
 use vppb_threads::{App, Body, FuncDecl, FuncId, TapeCursor};
-
-/// A predicted multiprocessor execution.
-#[derive(Debug, Clone)]
-pub struct SimulatedExecution {
-    /// The predicted timeline — input to the Visualizer.
-    pub trace: ExecutionTrace,
-    /// Predicted wall time on the simulated machine.
-    pub wall_time: Time,
-    /// Wall time of the monitored uni-processor run the log came from.
-    pub recorded_wall: Time,
-    /// Busy time per simulated CPU.
-    pub cpu_busy: Vec<Duration>,
-    /// Parameters the prediction was made under.
-    pub params: SimParams,
-    /// Conservation-law audit of the replay run (clean unless the engine
-    /// or a replay rule miscounted).
-    pub audit: AuditReport,
-    /// Discrete-event steps the engine processed — the simulator's own
-    /// cost metric (benches report ns per DES event).
-    pub des_events: u64,
-}
-
-impl SimulatedExecution {
-    /// Speed-up relative to the *monitored* uni-processor execution. For
-    /// Table-1 style numbers prefer dividing two simulated runs (1 CPU vs
-    /// N CPUs) — see [`predict`].
-    pub fn speedup_vs_recorded(&self) -> f64 {
-        speedup(self.recorded_wall, self.wall_time)
-    }
-
-    /// Where (if anywhere) this replay departs from the recorded log's
-    /// per-thread event order. Condvar traffic is exempt — the §3.2 replay
-    /// rules rewrite it on purpose.
-    pub fn divergence_from(&self, log: &TraceLog) -> DivergenceReport {
-        DivergenceReport::vs_log(log, &self.trace)
-    }
-}
 
 /// Build the synthetic replay [`App`] from a plan.
 ///
@@ -106,8 +73,9 @@ pub(crate) fn tape_app(
 }
 
 /// Simulate the multiprocessor execution described by `params` from the
-/// recorded information in `log`.
-pub fn simulate(log: &TraceLog, params: &SimParams) -> Result<SimulatedExecution, VppbError> {
+/// recorded information in `log`. The result's `trace` is the predicted
+/// timeline, the Visualizer's input.
+pub fn simulate(log: &TraceLog, params: &SimParams) -> Result<RunResult, VppbError> {
     let plan = analyze(log)?;
     simulate_plan(&plan, log, params)
 }
@@ -118,10 +86,9 @@ pub fn simulate_plan(
     plan: &ReplayPlan,
     log: &TraceLog,
     params: &SimParams,
-) -> Result<SimulatedExecution, VppbError> {
+) -> Result<RunResult, VppbError> {
     let app = build_replay_app(plan, log.header.source_map.clone())?;
-    let result = replay_with_engine(&app, plan, params, None, run)?;
-    Ok(to_execution(plan, params, result))
+    replay_with_engine(&app, plan, params, None, run)
 }
 
 /// Like [`simulate_plan`], additionally returning the scheduling metrics
@@ -133,12 +100,12 @@ pub fn simulate_plan_metrics(
     plan: &ReplayPlan,
     log: &TraceLog,
     params: &SimParams,
-) -> Result<(SimulatedExecution, SchedMetrics), VppbError> {
+) -> Result<(RunResult, SchedMetrics), VppbError> {
     let app = build_replay_app(plan, log.header.source_map.clone())?;
     let mut metrics = MetricsObserver::new();
     let result = replay_with_engine(&app, plan, params, Some(&mut metrics), run)?;
     metrics.finish(&result);
-    Ok((to_execution(plan, params, result), metrics.into_metrics()))
+    Ok((result, metrics.into_metrics()))
 }
 
 /// Execute a plan replay on an arbitrary *engine* — any function with the
@@ -201,28 +168,14 @@ where
     })
 }
 
-pub(crate) fn to_execution(
-    plan: &ReplayPlan,
-    params: &SimParams,
-    result: RunResult,
-) -> SimulatedExecution {
-    SimulatedExecution {
-        wall_time: result.wall_time,
-        recorded_wall: plan.recorded_wall,
-        cpu_busy: result.cpu_busy,
-        audit: result.audit,
-        des_events: result.des_events,
-        trace: result.trace,
-        params: params.clone(),
-    }
-}
-
 /// The 1-CPU reference run a predicted speed-up divides by: one CPU
-/// under the scheduling model of `params`, defaults otherwise, so the
-/// ratio stays model-internal.
+/// under the scheduling model and the `cond_broadcast` replay rule of
+/// `params`, defaults otherwise (no manipulations, no faults), so the
+/// ratio compares two replays of one model under one rule.
 pub fn reference_params(params: &SimParams) -> SimParams {
     let mut uni = SimParams::cpus(1);
     uni.machine.model = params.machine.model;
+    uni.barrier_aware_broadcast = params.barrier_aware_broadcast;
     uni
 }
 
@@ -243,7 +196,7 @@ pub struct Prediction {
     /// Predicted wall time of the [`reference_params`] run.
     pub uni_wall: Time,
     /// The predicted N-CPU execution.
-    pub run: SimulatedExecution,
+    pub run: RunResult,
     /// Scheduling metrics of the N-CPU run.
     pub metrics: SchedMetrics,
 }

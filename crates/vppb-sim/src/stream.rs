@@ -36,11 +36,11 @@
 
 use crate::feed::{FeedStep, IncrementalFeed};
 use crate::plan::ReplayPlan;
-use crate::sim::{build_replay_app, replay_with_engine, tape_app};
+use crate::sim::{replay_with_engine, simulate_plan, tape_app};
 use crate::sorter::{analyze, fold_log, Analysis};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use vppb_machine::{run, run_stream, EngineSnapshot, RunResult, StreamControl, StreamOutcome};
+use vppb_machine::{run_stream, EngineSnapshot, RunResult, StreamControl, StreamOutcome};
 use vppb_model::binlog::{self, CanonicalHasher};
 use vppb_model::{chunk, ContentId, SimParams, StableHasher, ThreadId, TraceLog, VppbError};
 use vppb_recorder::{load_lenient_traced, LoadedLog};
@@ -208,7 +208,8 @@ impl StreamSession {
         if let Some(result) = self.advance_chain(key, params) {
             return Ok(result);
         }
-        cold_run_state(self.state.as_ref().unwrap(), params)
+        let state = self.state.as_ref().unwrap();
+        simulate_plan(&state.plan, &state.loaded.log, params)
     }
 
     /// Advance the chain for `key` over the current plan and produce the
@@ -321,13 +322,7 @@ fn derive_full(bytes: &[u8]) -> Result<PlanState, VppbError> {
 /// scratch — the function every rolling prediction must bit-match.
 pub fn cold_run(bytes: &[u8], params: &SimParams) -> Result<RunResult, VppbError> {
     let (loaded, _) = load_lenient_traced(bytes)?;
-    let plan = analyze(&loaded.log)?;
-    cold_run_state(&PlanState { loaded, plan, committed: BTreeMap::new(), stable: 0 }, params)
-}
-
-fn cold_run_state(state: &PlanState, params: &SimParams) -> Result<RunResult, VppbError> {
-    let app = build_replay_app(&state.plan, state.loaded.log.header.source_map.clone())?;
-    replay_with_engine(&app, &state.plan, params, None, run)
+    simulate_plan(&analyze(&loaded.log)?, &loaded.log, params)
 }
 
 /// Convert every thread's plan ops into tape op lists, in plan order,

@@ -34,8 +34,34 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use vppb_machine::{run, RunOptions, RunResult};
-use vppb_model::{Binding, Duration, LwpPolicy, ModelKind, SimParams, Time, TraceLog, VppbError};
+use vppb_model::{
+    Binding, ConfigError, Duration, LwpPolicy, MachineConfig, ModelKind, SimParams, Time, TraceLog,
+    VppbError,
+};
 use vppb_threads::{Action, LibCall};
+
+/// The one way a configuration spelled outside the program — a CLI flag,
+/// a service request, a sweep grid cell — becomes [`SimParams`]: `cpus`
+/// processors, the LWP policy, the cross-CPU communication delay in µs
+/// (`None`: the machine default) and the scheduler model, checked by
+/// [`MachineConfig::check`]. The µs convert with a checked multiply, so a
+/// delay too long for a nanosecond count is refused rather than wrapped.
+/// The error names the refused field.
+pub fn sim_params(
+    cpus: u32,
+    lwps: LwpPolicy,
+    comm_delay_us: Option<u64>,
+    model: ModelKind,
+) -> Result<SimParams, ConfigError> {
+    let mut machine = MachineConfig::sun_enterprise(cpus).with_lwps(lwps).with_model(model);
+    if let Some(us) = comm_delay_us {
+        machine.comm_delay = Duration::checked_from_micros(us).ok_or_else(|| {
+            ConfigError::field("comm_delay_us", format!("{us} us overflows a nanosecond count"))
+        })?;
+    }
+    machine.check()?;
+    Ok(SimParams::new(machine))
+}
 
 /// One labeled cell of a sweep grid.
 #[derive(Debug, Clone)]
@@ -54,19 +80,23 @@ pub struct SweepGrid {
     pub cpus: Vec<u32>,
     /// LWP-pool policies (default: one LWP per thread, like `predict`).
     pub lwps: Vec<LwpPolicy>,
-    /// Cross-CPU communication delays (default: the machine default).
-    pub comm_delays: Vec<Option<Duration>>,
+    /// Cross-CPU communication delays in µs (default: the machine
+    /// default).
+    pub comm_delays_us: Vec<Option<u64>>,
     /// User-level scheduling models (default: the Solaris TS queues).
     pub models: Vec<ModelKind>,
 }
 
 impl SweepGrid {
+    /// Most cells a grid may expand into.
+    pub const MAX_CELLS: usize = 4096;
+
     /// A grid varying only the processor count.
     pub fn over_cpus(cpus: impl Into<Vec<u32>>) -> SweepGrid {
         SweepGrid {
             cpus: cpus.into(),
             lwps: vec![LwpPolicy::PerThread],
-            comm_delays: vec![None],
+            comm_delays_us: vec![None],
             models: vec![ModelKind::SolarisTs],
         }
     }
@@ -77,9 +107,9 @@ impl SweepGrid {
         self
     }
 
-    /// Builder-style: also vary the communication delay.
-    pub fn with_comm_delays(mut self, delays: impl Into<Vec<Duration>>) -> SweepGrid {
-        self.comm_delays = delays.into().into_iter().map(Some).collect();
+    /// Builder-style: also vary the communication delay, in µs.
+    pub fn with_comm_delays_us(mut self, delays_us: impl Into<Vec<u64>>) -> SweepGrid {
+        self.comm_delays_us = delays_us.into().into_iter().map(Some).collect();
         self
     }
 
@@ -89,27 +119,33 @@ impl SweepGrid {
         self
     }
 
-    /// Expand the grid into labeled configurations, CPUs varying fastest.
-    pub fn configs(&self) -> Vec<SweepConfig> {
-        let mut out = Vec::new();
+    /// Expand the grid into labeled configurations, CPUs varying fastest,
+    /// each cell built by [`sim_params`]. The cell count is checked to be
+    /// 1 to [`Self::MAX_CELLS`] before anything is built, and the first
+    /// cell [`sim_params`] refuses fails the whole grid.
+    pub fn try_configs(&self) -> Result<Vec<SweepConfig>, ConfigError> {
+        let axes = [self.cpus.len(), self.lwps.len(), self.comm_delays_us.len(), self.models.len()];
+        let cells = axes.iter().try_fold(1usize, |n, &k| n.checked_mul(k)).unwrap_or(usize::MAX);
+        if !(1..=Self::MAX_CELLS).contains(&cells) {
+            let reason = format!(
+                "the grid has {} cells; a sweep takes 1 to {}",
+                axes.map(|k| k.to_string()).join(" x "),
+                Self::MAX_CELLS
+            );
+            return Err(ConfigError { field: None, reason });
+        }
+        let mut out = Vec::with_capacity(cells);
         for &model in &self.models {
-            for delay in &self.comm_delays {
+            for &delay in &self.comm_delays_us {
                 for &lwps in &self.lwps {
                     for &cpus in &self.cpus {
-                        let mut params = SimParams::cpus(cpus);
-                        params.machine.lwps = lwps;
-                        params.machine.model = model;
-                        if let Some(d) = delay {
-                            params.machine.comm_delay = *d;
-                        }
+                        let params = sim_params(cpus, lwps, delay, model)?;
                         let mut label = format!("{cpus}p");
                         if self.lwps.len() > 1 {
                             label += &format!(" lwps={lwps}");
                         }
-                        if self.comm_delays.len() > 1 {
-                            if let Some(d) = delay {
-                                label += &format!(" comm={d}");
-                            }
+                        if self.comm_delays_us.len() > 1 && delay.is_some() {
+                            label += &format!(" comm={}", params.machine.comm_delay);
                         }
                         if self.models.len() > 1 {
                             label += &format!(" model={}", model.name());
@@ -119,7 +155,18 @@ impl SweepGrid {
                 }
             }
         }
-        out
+        Ok(out)
+    }
+
+    /// [`Self::try_configs`] of a grid built from values known to be in
+    /// bounds.
+    ///
+    /// # Panics
+    ///
+    /// When [`Self::try_configs`] refuses the grid: outside input goes
+    /// through that instead.
+    pub fn configs(&self) -> Vec<SweepConfig> {
+        self.try_configs().unwrap_or_else(|e| panic!("sweep grid out of bounds: {e}"))
     }
 }
 

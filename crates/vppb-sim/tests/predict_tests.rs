@@ -81,12 +81,20 @@ fn speedup_divides_by_the_same_models_one_cpu_run_and_guards_zero() {
     assert_eq!(speedup(Time::from_micros(200), Time::from_micros(100)), 2.0);
     let rec = record(&fork_join_app(4, 20), &RecordOptions::default()).unwrap();
     let plan = analyze(&rec.log).unwrap();
-    for model in [ModelKind::SolarisTs, ModelKind::AsyncPool] {
+    // The reference keeps the model and the broadcast replay rule, so with
+    // the rule off the ratio is the naive 1-CPU wall over the naive N-CPU
+    // wall.
+    for (model, rule) in [ModelKind::SolarisTs, ModelKind::AsyncPool]
+        .into_iter()
+        .flat_map(|m| [(m, true), (m, false)])
+    {
         let mut params = SimParams::cpus(4);
         params.machine.model = model;
         params.machine.lwps = LwpPolicy::Fixed(2);
+        params.barrier_aware_broadcast = rule;
         let mut uni = SimParams::cpus(1);
         uni.machine.model = model;
+        uni.barrier_aware_broadcast = rule;
         assert_eq!(reference_params(&params).fingerprint(), uni.fingerprint());
         let p = predict(&plan, &rec.log, &params).unwrap();
         let uni_wall = simulate_plan(&plan, &rec.log, &uni).unwrap().wall_time;

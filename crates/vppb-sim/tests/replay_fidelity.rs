@@ -237,7 +237,7 @@ fn identical_configs_produce_bit_identical_replays() {
 
     // Against the recorded ground truth, a condvar-free program must
     // replay every thread's call sequence in exactly the logged order.
-    let vs = a.divergence_from(&rec.log);
+    let vs = vppb_sim::DivergenceReport::vs_log(&rec.log, &a.trace);
     assert!(vs.identical, "replay departed from the log: {:?}", vs.first);
 
     // And both replays keep clean books.

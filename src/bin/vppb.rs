@@ -25,14 +25,14 @@ use std::collections::BTreeMap;
 use std::process::ExitCode;
 use vppb::pipeline;
 use vppb_model::{
-    AuditReport, Diagnostic, Duration, LwpPolicy, SalvageReport, SchedMetrics, SimParams, Time,
-    TraceLog, VppbError,
+    AuditReport, ConfigError, Diagnostic, LwpPolicy, ModelKind, SalvageReport, SchedMetrics,
+    SimParams, Time, TraceLog, VppbError,
 };
 use vppb_oracle::OracleTweaks;
 use vppb_recorder as logio;
 use vppb_sim::{
-    analyze, reference_params, simulate_plan, simulate_plan_metrics, speedup, DivergenceReport,
-    SimulatedExecution, SweepGrid, SweepPoint,
+    analyze, reference_params, sim_params, simulate_plan, simulate_plan_metrics, speedup,
+    DivergenceReport, RunResult, SweepGrid, SweepPoint,
 };
 use vppb_viz::{ansi, compute_stats, stats, svg, Align, AnsiOptions, TextTable};
 use vppb_workloads::{prodcons, splash2_suite, KernelParams};
@@ -84,25 +84,26 @@ struct MetricsDump {
     salvage: SalvageReport,
 }
 
-/// Write the `--metrics-json` dump of `run`, one replay of `log`, with
-/// the speed-up the verb reports.
+/// Write the `--metrics-json` dump of `run`, one replay of `log` under
+/// `params`, with the speed-up the verb reports.
 fn write_metrics_json(
     path: &str,
     log: &TraceLog,
-    run: &SimulatedExecution,
+    params: &SimParams,
+    run: &RunResult,
     speedup: f64,
     metrics: SchedMetrics,
     salvage: &SalvageReport,
 ) -> Result<(), String> {
     let dump = MetricsDump {
         program: log.header.program.clone(),
-        cpus: run.params.machine.cpus,
-        model: run.params.machine.model.name().to_string(),
+        cpus: params.machine.cpus,
+        model: params.machine.model.name().to_string(),
         wall_ns: run.wall_time.nanos(),
         speedup,
         metrics,
         audit: run.audit.clone(),
-        divergence: run.divergence_from(log),
+        divergence: DivergenceReport::vs_log(log, &run.trace),
         salvage: salvage.clone(),
     };
     let json = serde_json::to_string(&dump).map_err(|e| e.to_string())?;
@@ -209,16 +210,16 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             let input = load_input(path, &flags)?;
             let log = &input.log;
             let cpus: u32 = flag(&flags, "cpus", 8)?;
-            let mut params = SimParams::cpus(cpus);
-            params.machine.model = parse_model(&flags)?;
-            if let Some(l) = flags.get("lwps") {
-                let n: u32 = l.parse().map_err(|_| "bad --lwps")?;
-                params.machine.lwps = LwpPolicy::Fixed(n);
-            }
-            if let Some(d) = flags.get("comm-delay-us") {
-                let us: u64 = d.parse().map_err(|_| "bad --comm-delay-us")?;
-                params.machine.comm_delay = Duration::from_micros(us);
-            }
+            let lwps = match flags.get("lwps") {
+                None => LwpPolicy::PerThread,
+                Some(l) => LwpPolicy::Fixed(l.parse().map_err(|_| "bad --lwps")?),
+            };
+            let comm_delay_us = match flags.get("comm-delay-us") {
+                None => None,
+                Some(d) => Some(d.parse().map_err(|_| "bad --comm-delay-us")?),
+            };
+            let params =
+                sim_params(cpus, lwps, comm_delay_us, parse_model(&flags)?).map_err(flag_error)?;
             let plan = analyze(log).map_err(|e| e.to_string())?;
             let (sim, metrics) = if flags.contains_key("metrics-json") {
                 let (sim, m) =
@@ -227,15 +228,13 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             } else {
                 (simulate_plan(&plan, log, &params).map_err(|e| e.to_string())?, None)
             };
+            let vs_recorded = speedup(log.header.wall_time, sim.wall_time);
             println!(
-                "simulated `{}` on {cpus} CPUs: wall {}, speed-up vs monitored run {:.2}",
-                log.header.program,
-                sim.wall_time,
-                sim.speedup_vs_recorded()
+                "simulated `{}` on {cpus} CPUs: wall {}, speed-up vs monitored run {vs_recorded:.2}",
+                log.header.program, sim.wall_time,
             );
             if let (Some(file), Some(metrics)) = (flags.get("metrics-json"), metrics) {
-                let s = sim.speedup_vs_recorded();
-                write_metrics_json(file, log, &sim, s, metrics, &input.salvage)?;
+                write_metrics_json(file, log, &params, &sim, vs_recorded, metrics, &input.salvage)?;
             }
             if let Some(file) = flags.get("svg") {
                 std::fs::write(file, svg::render_trace(&sim.trace)).map_err(|e| e.to_string())?;
@@ -259,8 +258,8 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             let input = load_input(path, &flags)?;
             let log = &input.log;
             let cpus: u32 = flag(&flags, "cpus", 8)?;
-            let mut params = SimParams::cpus(cpus);
-            params.machine.model = parse_model(&flags)?;
+            let params = sim_params(cpus, LwpPolicy::PerThread, None, parse_model(&flags)?)
+                .map_err(flag_error)?;
             // Table-1 style speed-up over the same model's 1-CPU run, with
             // the N-CPU run's metrics under `--metrics-json`.
             let plan = analyze(log).map_err(|e| e.to_string())?;
@@ -269,7 +268,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             println!("predicted speed-up of `{}` on {cpus} CPUs: {s:.2}", log.header.program);
             if let Some(file) = flags.get("metrics-json") {
                 let (run, metrics) = (&prediction.run, prediction.metrics);
-                write_metrics_json(file, log, run, s, metrics, &input.salvage)?;
+                write_metrics_json(file, log, &params, run, s, metrics, &input.salvage)?;
             }
             Ok(input.exit())
         }
@@ -284,20 +283,16 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 grid = grid.with_lwps(parse_list::<LwpPolicy>(l).map_err(|_| "bad --lwps list")?);
             }
             if let Some(d) = flags.get("comm-delay-us") {
-                let delays: Vec<Duration> = parse_list::<u64>(d)
-                    .map_err(|_| "bad --comm-delay-us list")?
-                    .into_iter()
-                    .map(Duration::from_micros)
-                    .collect();
-                grid = grid.with_comm_delays(delays);
+                let delays = parse_list::<u64>(d).map_err(|_| "bad --comm-delay-us list")?;
+                grid = grid.with_comm_delays_us(delays);
             }
             if let Some(m) = flags.get("model") {
-                let models = parse_list::<vppb_model::ModelKind>(m)
+                let models = parse_list::<ModelKind>(m)
                     .map_err(|_| "bad --model list (expected solaris and/or async)")?;
                 grid = grid.with_models(models);
             }
             let jobs: usize = flag(&flags, "jobs", 0)?;
-            let configs = grid.configs();
+            let configs = grid.try_configs().map_err(flag_error)?;
             let outcome = vppb_sim::sweep(log, &configs, jobs).map_err(|e| e.to_string())?;
             println!(
                 "swept `{}` over {} configurations ({} unique) on {} worker thread{}; \
@@ -658,13 +653,15 @@ const FUZZ_BLOCK: u64 = 100;
 /// `--self-test`, both bugs were caught and shrunk within bounds), 2
 /// otherwise.
 fn fuzz(flags: &BTreeMap<String, String>) -> Result<ExitCode, String> {
-    use vppb_model::ModelKind;
     use vppb_oracle::{ConfigGrid, GenParams, LwpMode, ProgSpec};
 
     let seeds: u64 = flag(flags, "seeds", 100)?;
     let start: u64 = flag(flags, "seed-start", 0)?;
     let cpus = parse_list::<u32>(flags.get("cpus").map_or("1,2,4,8", String::as_str))
         .map_err(|_| "bad --cpus list")?;
+    for &c in &cpus {
+        sim_params(c, LwpPolicy::PerThread, None, ModelKind::SolarisTs).map_err(flag_error)?;
+    }
     let models =
         parse_list::<ModelKind>(flags.get("model").map_or("solaris,async", String::as_str))
             .map_err(|_| "bad --model list (expected solaris and/or async)")?;
@@ -952,7 +949,8 @@ fn watch(path: &str, flags: &BTreeMap<String, String>) -> Result<ExitCode, Strin
     let interval_ms: u64 = flag(flags, "interval-ms", 500)?;
     let idle_timeout_ms: u64 = flag(flags, "idle-timeout-ms", 0)?;
     let once = flags.contains_key("once");
-    let multi = SimParams::cpus(cpus);
+    let multi =
+        sim_params(cpus, LwpPolicy::PerThread, None, ModelKind::SolarisTs).map_err(flag_error)?;
     let uni = reference_params(&multi);
     let mut session = vppb_sim::StreamSession::new();
     let mut last: Option<f64> = None;
@@ -1024,7 +1022,7 @@ fn watch(path: &str, flags: &BTreeMap<String, String>) -> Result<ExitCode, Strin
         let log = session.log().ok_or("watch: no parsed log")?;
         let plan = analyze(log).map_err(|e| e.to_string())?;
         let (m, metrics) = simulate_plan_metrics(&plan, log, &multi).map_err(|e| e.to_string())?;
-        write_metrics_json(file, log, &m, s, metrics, &SalvageReport::default())?;
+        write_metrics_json(file, log, &multi, &m, s, metrics, &SalvageReport::default())?;
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -1056,10 +1054,19 @@ fn parse_list<T: std::str::FromStr>(s: &str) -> Result<Vec<T>, ()> {
 }
 
 /// Parse a single `--model` flag (default: the Solaris TS queues).
-fn parse_model(flags: &BTreeMap<String, String>) -> Result<vppb_model::ModelKind, String> {
+fn parse_model(flags: &BTreeMap<String, String>) -> Result<ModelKind, String> {
     match flags.get("model") {
-        None => Ok(vppb_model::ModelKind::SolarisTs),
+        None => Ok(ModelKind::SolarisTs),
         Some(m) => m.parse(),
+    }
+}
+
+/// A configuration [`sim_params`] refused, naming the flag that set it:
+/// the flags are the request fields, spelled with dashes.
+fn flag_error(e: ConfigError) -> String {
+    match e.field {
+        Some(field) => format!("bad --{}: {}", field.replace('_', "-"), e.reason),
+        None => e.reason,
     }
 }
 

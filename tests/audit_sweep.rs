@@ -36,7 +36,7 @@ fn every_workload_replays_with_zero_violations() {
             );
             // The replay must follow the recorded per-thread event order
             // (condvar traffic exempt per the §3.2 rewrite rules).
-            let div = sim.divergence_from(&rec.log);
+            let div = vppb_sim::DivergenceReport::vs_log(&rec.log, &sim.trace);
             assert!(div.identical, "{name} @{cpus}p: replay diverged at {:?}", div.first);
         }
     }

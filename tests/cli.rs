@@ -231,6 +231,31 @@ fn sweep_prints_the_surface_and_matches_predict() {
 }
 
 #[test]
+fn out_of_bounds_machine_flags_exit_two_and_name_the_flag() {
+    let dir = tmpdir("bounds");
+    let log = dir.join("fft.vppb");
+    let log_s = log.to_str().unwrap();
+    let (ok, _, stderr) =
+        vppb(&["record", "fft", "--threads", "2", "--scale", "0.05", "-o", log_s]);
+    assert!(ok, "record failed: {stderr}");
+    // 18446744073709552 µs is 2^64 + 384 ns: unchecked, it wraps to 384 ns.
+    for (args, flag) in [
+        (&["simulate", log_s, "--cpus", "4294967295"][..], "--cpus"),
+        (&["simulate", log_s, "--comm-delay-us", "18446744073709552"], "--comm-delay-us"),
+        (&["simulate", log_s, "--lwps", "4294967295"], "--lwps"),
+        (&["predict", log_s, "--cpus", "0"], "--cpus"),
+        (&["sweep", log_s, "--comm-delay-us", "1,18446744073709552"], "--comm-delay-us"),
+        (&["watch", log_s, "--cpus", "1025", "--chunks", "2"], "--cpus"),
+        (&["fuzz", "--seeds", "1", "--cpus", "2,1025"], "--cpus"),
+    ] {
+        let (code, stdout, stderr) = vppb_code(args);
+        assert_eq!(code, 2, "{args:?}: {stderr}");
+        assert!(stderr.contains(flag), "{args:?} must name {flag}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?} refused before any replay: {stdout}");
+    }
+}
+
+#[test]
 fn unknown_commands_and_workloads_fail_cleanly() {
     let (code, _, stderr) = vppb_code(&["frobnicate"]);
     assert_eq!(code, 2);

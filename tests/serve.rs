@@ -316,6 +316,45 @@ fn panicking_job_gets_a_500_and_the_server_keeps_serving() {
 }
 
 #[test]
+fn out_of_bounds_configurations_get_a_400_and_the_server_keeps_serving() {
+    let server = spawn(&[]);
+    let up = upload(server.addr, &vppb_model::binlog::encode(&recorded_log(2)).unwrap());
+    let id = str_field(&up, "id");
+    let http = HttpClient::new(server.addr);
+    // Unchecked, each of these would size an allocation or wrap a delay;
+    // all must be refused before any replay.
+    for (method, path, body, field) in [
+        ("POST", "/predict", format!("{{\"id\":\"{id}\",\"cpus\":4294967295}}"), "cpus"),
+        ("POST", "/predict", format!("{{\"id\":\"{id}\",\"cpus\":0}}"), "cpus"),
+        ("POST", "/predict", format!("{{\"id\":\"{id}\",\"cpus\":2,\"lwps\":4294967295}}"), "lwps"),
+        (
+            "POST",
+            "/predict",
+            format!("{{\"id\":\"{id}\",\"comm_delay_us\":18446744073709552}}"),
+            "comm_delay_us",
+        ),
+        (
+            "POST",
+            "/sweep",
+            format!("{{\"id\":\"{id}\",\"cpus\":[4294967295],\"lwps\":[\"follow\"]}}"),
+            "cpus",
+        ),
+        ("GET", &format!("/predict?follow=1&id={id}&cpus=4294967295"), String::new(), "cpus"),
+    ] {
+        let (status, body) = http.request(method, path, body.as_bytes()).unwrap();
+        let body = String::from_utf8_lossy(&body);
+        assert_eq!(status, 400, "{method} {path}: {body}");
+        assert!(body.contains(field), "{method} {path} must name `{field}`: {body}");
+    }
+    let (status, body) = http.request("GET", "/healthz", b"").unwrap();
+    assert_eq!(status, 200);
+    assert!(String::from_utf8_lossy(&body).contains("\"ok\":true"));
+    let ok = format!("{{\"id\":\"{id}\",\"cpus\":2}}");
+    let (status, _) = http.request("POST", "/predict", ok.as_bytes()).unwrap();
+    assert_eq!(status, 200, "a valid predict still answers");
+}
+
+#[test]
 fn shutdown_drains_and_the_process_exits_cleanly() {
     let mut server = spawn(&[]);
     let up = upload(server.addr, &vppb_model::binlog::encode(&recorded_log(2)).unwrap());
