@@ -5,9 +5,10 @@
 //! committed prefix — DESIGN.md §6f — advances with every append) is
 //! recorded, encoded, and cut into ~100 record-aligned chunks. For every
 //! chunk we time (a) the incremental path — `StreamSession::append` plus
-//! a checkpoint-resumed `predict` — against (b) a cold
-//! `simulate(analyze(salvage(parse(prefix))))` of the same byte prefix,
-//! asserting the two results stay bit-identical while we are at it. The
+//! a checkpoint-resumed `simulate`, which records the timeline — against
+//! (b) a cold `simulate(analyze(salvage(parse(prefix))))` of the same
+//! byte prefix, asserting the two results stay bit-identical, timeline
+//! included, while we are at it. The
 //! headline number is the amortized incremental/cold cost ratio after a
 //! warm-up window; the streaming machinery exists to make it small, so
 //! the binary exits nonzero when the ratio exceeds 0.15.
@@ -23,7 +24,7 @@ use serde::Serialize;
 use std::time::Instant;
 use vppb_model::{binlog, chunk, SimParams};
 use vppb_recorder::{record, RecordOptions};
-use vppb_sim::{cold_run, result_fingerprint, StreamSession};
+use vppb_sim::{cold_run, result_fingerprint, StreamSession, Timeline};
 use vppb_threads::{App, AppBuilder};
 
 /// The mill: `workers` unbound threads plus main each take a shared
@@ -67,7 +68,7 @@ struct ChunkCost {
     chunk: usize,
     /// Prefix length after this chunk, bytes.
     prefix_bytes: usize,
-    /// append + checkpoint-resumed predict, host nanoseconds.
+    /// append + checkpoint-resumed simulate, host nanoseconds.
     incremental_ns: u64,
     /// Cold run of the same prefix, host nanoseconds.
     cold_ns: u64,
@@ -139,7 +140,7 @@ fn main() {
         for (k, &cut) in cuts.iter().enumerate() {
             let t = Instant::now();
             session.append(&bytes[prev..cut]).expect("append parses");
-            let inc = session.predict(&params).expect("incremental predict");
+            let inc = session.simulate(&params).expect("incremental replay");
             let incremental_ns = t.elapsed().as_nanos() as u64;
 
             let t = Instant::now();
@@ -160,7 +161,7 @@ fn main() {
                 prefix_bytes: cut,
                 incremental_ns,
                 cold_ns,
-                checkpoint_events: session.checkpoint_events(&params),
+                checkpoint_events: session.chain_events(&params, Timeline::Record),
             });
             prev = cut;
         }

@@ -1696,7 +1696,9 @@ impl<'a, 'o> Engine<'a, 'o> {
             }
             SetConcurrency(n) => {
                 if self.cfg.lwps == LwpPolicy::FollowProgram {
-                    while self.pool_lwp_count() < n {
+                    // The pool grows to the level asked for, but never past
+                    // the bound a fixed pool is held to.
+                    for _ in self.pool_lwp_count()..n.min(MachineConfig::MAX_LWPS) {
                         self.new_pool_lwp();
                     }
                     self.dispatch()?;

@@ -3,7 +3,8 @@
 
 use vppb_machine::{run, JitterModel, NullHooks, RunLimits, RunOptions};
 use vppb_model::{
-    Binding, CpuId, Duration, LwpPolicy, MachineConfig, ThreadId, ThreadManip, Time, VppbError,
+    Binding, CpuId, Duration, LwpPolicy, MachineConfig, ThreadId, ThreadManip, ThreadState, Time,
+    VppbError,
 };
 use vppb_threads::{op, Action, AppBuilder, BarrierDecl, Cmp, LibCall, ResumeCtx};
 
@@ -414,6 +415,30 @@ fn setconcurrency_grows_the_lwp_pool() {
     let c1 = exact(MachineConfig::default().with_cpus(2).with_lwps(LwpPolicy::Fixed(1)));
     let r1 = go(&app, &c1);
     assert_eq!(r1.wall_time, Time::from_millis(200));
+}
+
+#[test]
+fn setconcurrency_grows_the_pool_no_further_than_the_lwp_bound() {
+    // A log may ask for billions of LWPs. The pool stops at the bound a
+    // fixed pool is held to, and the call is linear in what it adds. A
+    // bound thread's own LWP is numbered after every pool LWP, so its id
+    // counts them.
+    let mut b = AppBuilder::new("conc", "conc.c");
+    let w = b.func("w", |f| f.work_ms(1));
+    b.main(move |f| {
+        f.set_concurrency(4_000_000_000);
+        f.set_concurrency(u32::MAX);
+        let t = f.create_bound(w);
+        f.join(t);
+    });
+    let app = b.build().unwrap();
+    let r = go(&app, &cfg(2).with_lwps(LwpPolicy::FollowProgram));
+    let lwps = r.trace.transitions.iter().filter_map(|t| match t.state {
+        ThreadState::Running { lwp, .. } => Some(lwp.0),
+        _ => None,
+    });
+    assert_eq!(lwps.max(), Some(MachineConfig::MAX_LWPS), "pool LWPs are 0..MAX_LWPS");
+    assert!(r.audit.is_clean(), "{}", r.audit.render());
 }
 
 #[test]

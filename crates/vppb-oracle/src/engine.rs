@@ -1258,7 +1258,9 @@ impl<'a, 'o> Oracle<'a, 'o> {
             }
             SetConcurrency(n) => {
                 if self.cfg.lwps == LwpPolicy::FollowProgram {
-                    while self.pool_lwp_count() < n {
+                    // The pool grows to the level asked for, but never past
+                    // the bound a fixed pool is held to.
+                    for _ in self.pool_lwp_count()..n.min(MachineConfig::MAX_LWPS) {
                         self.new_pool_lwp();
                     }
                     self.dispatch()?;

@@ -130,6 +130,8 @@ fn check_fold(name: &str, log: &TraceLog) {
 }
 
 fn same_run(at_l: &RunResult, r: &RunResult, l: usize, what: &str) {
+    // Equal timelines prove nothing if the replay recorded none.
+    assert!(!at_l.trace.transitions.is_empty(), "{what}: the compared timeline is empty");
     assert_eq!(r.wall_time, at_l.wall_time, "{what}: wall time");
     assert_eq!(r.des_events, at_l.des_events, "{what}: DES events");
     assert!(r.trace.transitions == at_l.trace.transitions, "{what}: transitions");

@@ -47,6 +47,29 @@ fn assert_direct_agreement(app: &vppb_threads::App, cfg: &vppb_model::MachineCon
 }
 
 #[test]
+fn setconcurrency_past_the_lwp_bound_agrees_directly() {
+    // Both schedulers stop the pool at `MAX_LWPS`, however many LWPs a
+    // `thr_setconcurrency` asks for; a bound thread's LWP, numbered after
+    // the pool's, lands on the same id in both.
+    let mut b = vppb_threads::AppBuilder::new("conc", "conc.c");
+    let w = b.func("w", |f| f.work_ms(1));
+    b.main(move |f| {
+        f.set_concurrency(u32::MAX);
+        let s = f.slot();
+        f.loop_n(3, |f| f.create_into(w, s));
+        let t = f.create_bound(w);
+        f.join(t);
+        f.loop_n(3, |f| f.join(s));
+    });
+    let app = b.build().unwrap();
+    for cpus in [1, 2, 4] {
+        let cfg = vppb_model::MachineConfig::sun_enterprise(cpus)
+            .with_lwps(vppb_model::LwpPolicy::FollowProgram);
+        assert_direct_agreement(&app, &cfg, &format!("setconcurrency on {cpus} cpus"));
+    }
+}
+
+#[test]
 fn real_workloads_agree_directly() {
     // Real SPLASH kernels straight through both schedulers (no record/
     // replay in between) on a few machine shapes.

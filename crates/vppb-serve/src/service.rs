@@ -27,8 +27,8 @@ use vppb_model::{
 };
 use vppb_recorder::load_lenient_bytes;
 use vppb_sim::{
-    analyze, reference_params, sim_params, simulate_plan, simulate_plan_metrics, speedup,
-    sweep_plan, CacheStats, PlanCache, RunResult, SweepGrid, SweepPoint,
+    analyze, build_replay_app, reference_params, replay_plan, replay_plan_metrics, sim_params,
+    speedup, sweep_plan, CacheStats, PlanCache, RunResult, SweepGrid, SweepPoint, Timeline,
 };
 
 use crate::persist::{Durability, DurabilityStats, StartupReport};
@@ -687,7 +687,8 @@ impl PredictionService {
         if let Some(hit) = self.memo_hit(key) {
             return Ok(hit);
         }
-        // Follow runs stay out of the `/metrics` scheduling rollup.
+        // Follow runs record no timeline (`StreamSession::predict`) and stay
+        // out of the `/metrics` scheduling rollup.
         self.predict_content(key, &current.to_string(), &program, &params, |p, _| {
             Ok((stream.session.predict(p)?, None))
         })
@@ -726,18 +727,22 @@ impl PredictionService {
         }
         let stored = self.stored(id)?;
         let log = &stored.log;
-        let mut plan = None;
+        let mut replay = None;
         self.predict_content(key, &req.id, &log.header.program, &params, |params, rollup| {
-            // The plan is looked up once, and only on a memo miss.
-            if plan.is_none() {
-                plan = Some(self.plans.get_or_build(id, || analyze(log))?.0);
+            // The plan is looked up and its replay app built once, and only
+            // on a memo miss. A response reads walls, counts and the audit
+            // verdict, so no run records a timeline.
+            if replay.is_none() {
+                let plan = self.plans.get_or_build(id, || analyze(log))?.0;
+                let app = build_replay_app(&plan, log.header.source_map.clone())?;
+                replay = Some((plan, app));
             }
-            let plan = plan.as_deref().expect("looked up above");
+            let (plan, app) = replay.as_ref().expect("built above");
             if rollup {
-                let (run, m) = simulate_plan_metrics(plan, log, params)?;
+                let (run, m) = replay_plan_metrics(app, plan, params, Timeline::Skip)?;
                 Ok((run, Some(m)))
             } else {
-                Ok((simulate_plan(plan, log, params)?, None))
+                Ok((replay_plan(app, plan, params, None, Timeline::Skip)?, None))
             }
         })
     }

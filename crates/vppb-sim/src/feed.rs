@@ -261,7 +261,7 @@ impl FastState {
             dropped.sort_unstable();
             inserts = salvage::close_threads(&self.ledgers, &dropped, &mut report);
         }
-        let mut analysis = self.fold.clone().finish(&self.header, &inserts)?;
+        let analysis = self.fold.clone().finish(&self.header, &inserts)?;
 
         // Nothing fails from here on, so `prev` gives up its records only
         // now. Committed records are numbered densely: only what follows
@@ -282,8 +282,6 @@ impl FastState {
             salvage::end_bracket(&mut log, &mut report);
             salvage::clamp_wall_time(&mut log, &mut report);
             salvage::renumber(&mut log, stable, &mut report);
-            // `finish` ran on the header before this clamp.
-            analysis.plan.recorded_wall = log.header.wall_time;
         }
         let loaded = LoadedLog { log, diagnostics: tail.into_iter().collect(), salvage: report };
         Ok(PlanState { loaded, plan: analysis.plan, committed: analysis.committed, stable })

@@ -73,8 +73,6 @@ pub struct ReplayPlan {
     /// Initializer latency per once index (from the recorded
     /// `once_call`s' event payloads).
     pub once_init: Vec<Duration>,
-    /// Wall time of the monitored run (the prediction baseline).
-    pub recorded_wall: vppb_model::Time,
     /// Lazily compiled replay tapes — one flat op list per thread, in
     /// plan order, with every `Create` patched to the child's dense
     /// [`FuncId`]. Compiled once per plan ([`ReplayPlan::tapes`]) and
@@ -101,7 +99,6 @@ impl PartialEq for ReplayPlan {
             n_rwlocks,
             barrier_parties,
             once_init,
-            recorded_wall,
             tapes: _,
         } = self;
         *program == other.program
@@ -114,7 +111,6 @@ impl PartialEq for ReplayPlan {
             && *n_rwlocks == other.n_rwlocks
             && *barrier_parties == other.barrier_parties
             && *once_init == other.once_init
-            && *recorded_wall == other.recorded_wall
     }
 }
 

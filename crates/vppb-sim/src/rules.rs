@@ -161,7 +161,6 @@ mod tests {
             n_mutexes: 1,
             n_condvars: 1,
             n_rwlocks: 0,
-            recorded_wall: Time::ZERO,
             tapes: std::sync::OnceLock::new(),
         }
     }

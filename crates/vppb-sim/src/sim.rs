@@ -5,9 +5,12 @@
 //! Outside input (CLI flags, service requests, sweep grid cells) becomes
 //! `SimParams` through [`crate::sim_params`] only, and every engine run
 //! checks the machine again ([`vppb_model::MachineConfig::check`]).
-//! [`simulate`], [`simulate_plan`] and [`simulate_plan_metrics`] replay
-//! once; [`predict`] divides the [`reference_params`] run by the N-CPU
-//! run.
+//! [`replay_plan`] is the one plan replay, with a scheduling observer and
+//! a [`Timeline`] choice: the predicted timeline is recorded only for a
+//! caller that reads it. [`simulate`], [`simulate_plan`] and
+//! [`simulate_plan_metrics`] replay once and record; [`predict`] divides
+//! the [`reference_params`] run, which records none, by the recorded
+//! N-CPU run.
 
 use crate::plan::ReplayPlan;
 use crate::rules::ReplayRules;
@@ -72,6 +75,20 @@ pub(crate) fn tape_app(
     })
 }
 
+/// Whether a replay records its predicted timeline: the transitions and
+/// placed events of the result's `trace`, the Visualizer's input (§3.3).
+/// Everything else a [`RunResult`] carries — wall time, DES count, CPU
+/// busy and total time, thread count, `trace.threads` and the audit,
+/// which checks the CPU-occupancy law online — is the same either way.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Timeline {
+    /// Record the timeline, for a caller that draws or compares it.
+    Record,
+    /// Record none, for a caller that reads only times, counts and the
+    /// audit: a speed-up's two walls, a sweep cell, a follow predict.
+    Skip,
+}
+
 /// Simulate the multiprocessor execution described by `params` from the
 /// recorded information in `log`. The result's `trace` is the predicted
 /// timeline, the Visualizer's input.
@@ -88,29 +105,55 @@ pub fn simulate_plan(
     params: &SimParams,
 ) -> Result<RunResult, VppbError> {
     let app = build_replay_app(plan, log.header.source_map.clone())?;
-    replay_with_engine(&app, plan, params, None, run)
+    replay_plan(&app, plan, params, None, Timeline::Record)
 }
 
 /// Like [`simulate_plan`], additionally returning the scheduling metrics
 /// of the replay run (context switches, migrations, contention, queue
-/// depths) — the prediction service pulls plans from its
-/// content-addressed cache and still wants the scheduling counters of
-/// every cold run for its `/metrics` rollup.
+/// depths), which `--metrics-json` dumps beside the timeline's
+/// divergence report.
 pub fn simulate_plan_metrics(
     plan: &ReplayPlan,
     log: &TraceLog,
     params: &SimParams,
 ) -> Result<(RunResult, SchedMetrics), VppbError> {
     let app = build_replay_app(plan, log.header.source_map.clone())?;
+    replay_plan_metrics(&app, plan, params, Timeline::Record)
+}
+
+/// [`replay_plan`] with a [`MetricsObserver`] attached: the run and its
+/// scheduling metrics. The service's `/metrics` rollup reads the metrics
+/// of runs that record no timeline.
+pub fn replay_plan_metrics(
+    app: &App,
+    plan: &ReplayPlan,
+    params: &SimParams,
+    timeline: Timeline,
+) -> Result<(RunResult, SchedMetrics), VppbError> {
     let mut metrics = MetricsObserver::new();
-    let result = replay_with_engine(&app, plan, params, Some(&mut metrics), run)?;
+    let result = replay_plan(app, plan, params, Some(&mut metrics), timeline)?;
     metrics.finish(&result);
     Ok((result, metrics.into_metrics()))
 }
 
+/// Replay `plan` through its replay `app` ([`build_replay_app`]) under
+/// `params` on the machine engine, reporting every scheduling decision to
+/// `observer` and recording the predicted timeline if `timeline` asks.
+/// The one plan replay: every `simulate*`, [`predict`], each sweep cell
+/// and the checkpoint chain's cold fallback run through it.
+pub fn replay_plan(
+    app: &App,
+    plan: &ReplayPlan,
+    params: &SimParams,
+    observer: Option<&mut dyn SchedObserver>,
+    timeline: Timeline,
+) -> Result<RunResult, VppbError> {
+    replay_on(app, plan, params, observer, timeline, run)
+}
+
 /// Execute a plan replay on an arbitrary *engine* — any function with the
 /// shape of [`vppb_machine::run`], or of [`vppb_machine::run_stream`]
-/// with its stream control bound (the checkpoint chain).
+/// with its stream control bound — recording the timeline.
 ///
 /// This is the seam differential testing hangs off: the replay rules,
 /// id assignment, thread manipulations and cost conventions are set up
@@ -123,6 +166,22 @@ pub fn replay_with_engine<R, E>(
     plan: &ReplayPlan,
     params: &SimParams,
     observer: Option<&mut dyn SchedObserver>,
+    engine: E,
+) -> Result<R, VppbError>
+where
+    E: FnOnce(&App, &vppb_model::MachineConfig, RunOptions<'_>) -> Result<R, VppbError>,
+{
+    replay_on(app, plan, params, observer, Timeline::Record, engine)
+}
+
+/// [`replay_with_engine`] with a [`Timeline`] choice: the run setup every
+/// replay shares, the checkpoint chain's segments included.
+pub(crate) fn replay_on<R, E>(
+    app: &App,
+    plan: &ReplayPlan,
+    params: &SimParams,
+    observer: Option<&mut dyn SchedObserver>,
+    timeline: Timeline,
     engine: E,
 ) -> Result<R, VppbError>
 where
@@ -156,7 +215,7 @@ where
         manips: ManipTable::from_map(&params.manips),
         jitter: JitterModel::none(),
         limits: RunLimits::default(),
-        record_trace: true,
+        record_trace: timeline == Timeline::Record,
         observer: fwd.as_mut().map(|f| f as &mut dyn SchedObserver),
         faults: params.faults,
         size_hint: plan.total_ops(),
@@ -209,13 +268,17 @@ impl Prediction {
 }
 
 /// Predict the speed-up under `params` from a plan of `log`: the
-/// [`reference_params`] run, then the N-CPU run with its metrics.
+/// [`reference_params`] run, which records no timeline (only its wall is
+/// read), then the recorded N-CPU run with its metrics, both on one
+/// replay app.
 pub fn predict(
     plan: &ReplayPlan,
     log: &TraceLog,
     params: &SimParams,
 ) -> Result<Prediction, VppbError> {
-    let uni_wall = simulate_plan(plan, log, &reference_params(params))?.wall_time;
-    let (run, metrics) = simulate_plan_metrics(plan, log, params)?;
+    let app = build_replay_app(plan, log.header.source_map.clone())?;
+    let uni = reference_params(params);
+    let uni_wall = replay_plan(&app, plan, &uni, None, Timeline::Skip)?.wall_time;
+    let (run, metrics) = replay_plan_metrics(&app, plan, params, Timeline::Record)?;
     Ok(Prediction { uni_wall, run, metrics })
 }

@@ -303,7 +303,6 @@ impl Fold {
             n_rwlocks: seeds.n_rwlocks,
             barrier_parties: seeds.barrier_parties,
             once_init: seeds.once_init,
-            recorded_wall: header.wall_time,
             tapes: std::sync::OnceLock::new(),
         };
         Ok(Analysis { plan, stable, committed })

@@ -11,6 +11,13 @@
 //! expensive replay resumes from the checkpoint instead of re-simulating
 //! from time zero.
 //!
+//! A rolling prediction reads two wall times, so
+//! [`StreamSession::predict`] records no timeline ([`Timeline::Skip`]);
+//! its result equals the cold run on every field but the timeline, which
+//! it leaves empty. [`StreamSession::simulate`] records one, for the
+//! checks that compare timelines. Each choice keeps chains of its own: a
+//! snapshot of a run that records no timeline holds none to resume.
+//!
 //! ## Why this is exact (DESIGN.md §6f)
 //!
 //! A chunk boundary can tear a record, and the salvager closes the torn
@@ -29,14 +36,14 @@
 //! paused cursors onto the full tapes at the same positions, reseeds the
 //! semaphores (no sem op ever ran, so no waiter exists), and runs to the
 //! end with fresh replay rules (no cv op ever ran, so fresh rules equal
-//! the cold rules state). Every segment runs through
-//! [`crate::replay_with_engine`], the cold replay's own setup. Any
+//! the cold rules state). Every segment runs through the cold replay's
+//! own setup ([`crate::replay_plan`]), with the chain's timeline choice. Any
 //! structural surprise — a shrunken plan, a bootstrap stall — simply
 //! falls back to the cold path, which is the definition of correct.
 
 use crate::feed::{FeedStep, IncrementalFeed};
 use crate::plan::ReplayPlan;
-use crate::sim::{replay_with_engine, simulate_plan, tape_app};
+use crate::sim::{build_replay_app, replay_on, replay_plan, simulate_plan, tape_app, Timeline};
 use crate::sorter::{analyze, fold_log, Analysis};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -89,7 +96,8 @@ struct ConvCache {
 pub struct StreamSession {
     bytes: Vec<u8>,
     state: Option<PlanState>,
-    chains: BTreeMap<u64, Chain>,
+    /// Keyed by the configuration's fingerprint and the timeline choice.
+    chains: BTreeMap<(u64, Timeline), Chain>,
     feed: IncrementalFeed,
     conv_cache: Option<ConvCache>,
     /// The current log's content id, resumed across appends.
@@ -136,12 +144,20 @@ impl StreamSession {
         self.state.as_ref().map(|s| &s.loaded.log)
     }
 
-    /// DES event count of the stored checkpoint for this configuration —
-    /// `None` when the last prediction fell back to the cold path.
-    /// Diagnostics for `vppb watch` and the streaming bench: a healthy
-    /// chain advances its checkpoint as the log grows.
+    /// DES event count of the stored checkpoint of the [`Self::predict`]
+    /// chain for this configuration — `None` when the last prediction fell
+    /// back to the cold path. Diagnostics for `vppb watch` and the
+    /// streaming bench: a healthy chain advances its checkpoint as the log
+    /// grows.
     pub fn checkpoint_events(&self, params: &SimParams) -> Option<u64> {
-        self.chains.get(&params.fingerprint()).map(|c| c.snapshot.des_events())
+        self.chain_events(params, Timeline::Skip)
+    }
+
+    /// [`Self::checkpoint_events`] of the chain behind `timeline`: the
+    /// [`Self::predict`] chain for [`Timeline::Skip`], the
+    /// [`Self::simulate`] chain for [`Timeline::Record`].
+    pub fn chain_events(&self, params: &SimParams, timeline: Timeline) -> Option<u64> {
+        self.chains.get(&(params.fingerprint(), timeline)).map(|c| c.snapshot.des_events())
     }
 
     /// Append a chunk of raw log bytes and re-derive the plan. On parse
@@ -196,27 +212,39 @@ impl StreamSession {
         self.feed.is_fast()
     }
 
-    /// Predict the replay of the current prefix under `params`,
-    /// bit-identical to a cold [`cold_run`] over [`Self::bytes`]. Uses the
-    /// configuration's checkpoint chain when possible and falls back to
-    /// the cold path otherwise.
+    /// Predict the replay of the current prefix under `params` without
+    /// recording its timeline: a cold [`cold_run`] over [`Self::bytes`]
+    /// bit for bit on every field but the timeline, which stays empty.
+    /// Uses the configuration's checkpoint chain when possible and falls
+    /// back to the cold path otherwise.
     pub fn predict(&mut self, params: &SimParams) -> Result<RunResult, VppbError> {
+        self.replay(params, Timeline::Skip)
+    }
+
+    /// [`Self::predict`], recording the timeline: bit-identical to a cold
+    /// [`cold_run`] over [`Self::bytes`], timeline included.
+    pub fn simulate(&mut self, params: &SimParams) -> Result<RunResult, VppbError> {
+        self.replay(params, Timeline::Record)
+    }
+
+    fn replay(&mut self, params: &SimParams, timeline: Timeline) -> Result<RunResult, VppbError> {
         if self.state.is_none() {
             return Err(VppbError::MalformedLog("streaming session has no log yet".into()));
         }
-        let key = params.fingerprint();
-        if let Some(result) = self.advance_chain(key, params) {
+        if let Some(result) = self.advance_chain((params.fingerprint(), timeline), params) {
             return Ok(result);
         }
-        let state = self.state.as_ref().unwrap();
-        simulate_plan(&state.plan, &state.loaded.log, params)
+        let state = self.state.as_ref().expect("checked above");
+        let app = build_replay_app(&state.plan, state.loaded.log.header.source_map.clone())?;
+        replay_plan(&app, &state.plan, params, None, timeline)
     }
 
     /// Advance the chain for `key` over the current plan and produce the
     /// completed replay, or `None` to fall back to a cold run. Errors are
     /// deliberately swallowed into `None`: the cold path re-derives the
     /// same outcome (including the same error) from first principles.
-    fn advance_chain(&mut self, key: u64, params: &SimParams) -> Option<RunResult> {
+    fn advance_chain(&mut self, key: (u64, Timeline), params: &SimParams) -> Option<RunResult> {
+        let timeline = key.1;
         let state = self.state.as_ref()?;
         let plan = &state.plan;
         let source_map = state.loaded.log.header.source_map.clone();
@@ -247,7 +275,7 @@ impl StreamSession {
         // Probe: run the committed plan until some thread stalls at its
         // commit horizon. Event M is the first uncommitted decision.
         let control = StreamControl { resume_from: resume.map(Box::new), stop_before: None };
-        let m = match run_chain_segment(&probe_app, plan, params, control).ok()? {
+        let m = match run_chain_segment(&probe_app, plan, params, timeline, control).ok()? {
             StreamOutcome::Stalled { event } => event,
             // Done: the committed plan ran every thread to its exit. Caps
             // cut at the first cv/sem op, so full caps mean the plan has
@@ -277,7 +305,7 @@ impl StreamSession {
             None => None,
         };
         let control = StreamControl { resume_from: resume, stop_before: Some(m) };
-        let snapshot = match run_chain_segment(&probe_app, plan, params, control).ok()? {
+        let snapshot = match run_chain_segment(&probe_app, plan, params, timeline, control).ok()? {
             StreamOutcome::Paused(s) => *s,
             _ => {
                 self.chains.remove(&key);
@@ -295,7 +323,7 @@ impl StreamSession {
         completion.rebind_tapes(&full).ok()?;
         let full_app = tape_app(plan, full, source_map).ok()?;
         let control = StreamControl { resume_from: Some(Box::new(completion)), stop_before: None };
-        match run_chain_segment(&full_app, plan, params, control) {
+        match run_chain_segment(&full_app, plan, params, timeline, control) {
             Ok(StreamOutcome::Done(result)) => {
                 self.chains.insert(key, Chain { snapshot: kept, funcs });
                 Some(*result)
@@ -393,9 +421,10 @@ fn run_chain_segment(
     app: &App,
     plan: &ReplayPlan,
     params: &SimParams,
+    timeline: Timeline,
     control: StreamControl,
 ) -> Result<StreamOutcome, VppbError> {
-    replay_with_engine(app, plan, params, None, |app, cfg, opts| {
+    replay_on(app, plan, params, None, timeline, |app, cfg, opts| {
         run_stream(app, cfg, opts, control)
     })
 }
@@ -470,7 +499,12 @@ pub fn check_chunked_equivalence(
 ///   canonical encoding;
 /// * each thread's committed ops are a prefix of its ops in the plan of
 ///   the complete log (when that log analyzes);
-/// * the rolling prediction equals a cold run.
+/// * the rolling replay that records its timeline
+///   ([`StreamSession::simulate`]) equals a cold run, timeline included,
+///   and that timeline is not empty;
+/// * the rolling prediction ([`StreamSession::predict`], the one `vppb
+///   watch` and the service's follow mode run) equals that replay on
+///   every field but the timeline, and records none.
 ///
 /// Returns the number of boundaries checked, or a description of the
 /// first divergence.
@@ -527,14 +561,17 @@ pub fn check_chunks_equivalence(chunks: &[Vec<u8>], params: &SimParams) -> Resul
                 ));
             }
         }
-        let inc = match append_err {
-            Some(e) => Err(e),
-            None => session.predict(params),
+        let (inc, free) = match append_err {
+            Some(e) => (Err(e), None),
+            None => (session.simulate(params), Some(session.predict(params))),
         };
         let cold = cold_run(&prefix, params);
-        match (inc, cold) {
+        match (&inc, cold) {
             (Ok(a), Ok(b)) => {
-                let (fa, fb) = (result_fingerprint(&a), result_fingerprint(&b));
+                if a.trace.transitions.is_empty() {
+                    return Err(format!("{at}: the recorded timeline is empty"));
+                }
+                let (fa, fb) = (result_fingerprint(a), result_fingerprint(&b));
                 if fa != fb {
                     return Err(format!(
                         "{at}: incremental {fa:016x} != cold {fb:016x} (wall {} vs {}, des {} vs \
@@ -556,9 +593,54 @@ pub fn check_chunks_equivalence(chunks: &[Vec<u8>], params: &SimParams) -> Resul
                 return Err(format!("{at}: cold succeeded but incremental failed: {e}"))
             }
         }
+        if let Some(free) = free {
+            check_timeline_free(&free, &inc).map_err(|e| format!("{at}: {e}"))?;
+        }
         checked += 1;
     }
     Ok(checked)
+}
+
+/// A replay that records no timeline must equal the recorded replay of
+/// the same prefix and configuration on every field but the timeline
+/// (or fail with the same error), and leave the timeline empty.
+fn check_timeline_free(
+    free: &Result<RunResult, VppbError>,
+    recorded: &Result<RunResult, VppbError>,
+) -> Result<(), String> {
+    let (f, r) = match (free, recorded) {
+        (Ok(f), Ok(r)) => (f, r),
+        (Err(a), Err(b)) if a == b => return Ok(()),
+        (a, b) => {
+            let show = |x: &Result<RunResult, VppbError>| {
+                x.as_ref()
+                    .map_or_else(|e| format!("error {e}"), |r| format!("wall {}", r.wall_time))
+            };
+            return Err(format!(
+                "the timeline-free prediction ({}) and the recorded replay ({}) disagree",
+                show(a),
+                show(b)
+            ));
+        }
+    };
+    let differs = [
+        (f.wall_time != r.wall_time, "wall time"),
+        (f.des_events != r.des_events, "DES count"),
+        (f.cpu_busy != r.cpu_busy, "CPU busy times"),
+        (f.total_cpu_time != r.total_cpu_time, "total CPU time"),
+        (f.n_threads != r.n_threads, "thread count"),
+        (f.trace.threads != r.trace.threads, "per-thread summaries"),
+        (f.audit.checks != r.audit.checks || f.audit.render() != r.audit.render(), "audit"),
+    ];
+    if let Some((_, field)) = differs.iter().find(|(d, _)| *d) {
+        return Err(format!(
+            "the timeline-free prediction's {field} differs from the recorded replay's"
+        ));
+    }
+    if !f.trace.transitions.is_empty() || !f.trace.events.is_empty() {
+        return Err("the timeline-free prediction recorded a timeline".into());
+    }
+    Ok(())
 }
 
 /// The horizon contract: every thread's committed ops are a prefix of its

@@ -18,22 +18,22 @@
 //! before it is fingerprinted; its row still reports its own CPU count,
 //! and its utilization is computed over that many CPUs.
 //!
-//! A cell records no timeline: a sweep reports each configuration's wall
-//! time, utilization, DES cost and audit verdict, and nothing reads a
-//! cell's trace. The audit stays complete without one (the CPU-occupancy
-//! law is checked online).
+//! A cell records no timeline ([`Timeline::Skip`]): a sweep reports
+//! each configuration's wall time, utilization, DES cost and audit
+//! verdict, and nothing reads a cell's trace. The audit stays complete
+//! without one (the CPU-occupancy law is checked online).
 //!
 //! Determinism is untouched: each replay is an independent, fully seeded
 //! engine run, so every point of a parallel sweep equals what serial
 //! [`crate::simulate`] calls report (there is a regression test for it).
 
 use crate::plan::ReplayPlan;
-use crate::sim::{build_replay_app, replay_with_engine, speedup};
+use crate::sim::{build_replay_app, replay_plan, speedup, Timeline};
 use crate::sorter::analyze;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use vppb_machine::{run, RunOptions, RunResult};
+use vppb_machine::RunResult;
 use vppb_model::{
     Binding, ConfigError, Duration, LwpPolicy, MachineConfig, ModelKind, SimParams, Time, TraceLog,
     VppbError,
@@ -339,9 +339,7 @@ pub fn sweep_plan(
                 // The closure owns no shared mutable state, so resuming
                 // after its unwind observes nothing broken.
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    replay_with_engine(&app, plan, params, None, |app, cfg, opts| {
-                        run(app, cfg, RunOptions { record_trace: false, ..opts })
-                    })
+                    replay_plan(&app, plan, params, None, Timeline::Skip)
                 }))
                 .unwrap_or_else(|payload| {
                     Err(VppbError::ProgramError(format!(

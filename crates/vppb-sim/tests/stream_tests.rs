@@ -6,7 +6,7 @@ use vppb_model::{
 use vppb_recorder::{load_lenient_traced, record, RecordOptions};
 use vppb_sim::{
     check_chunked_equivalence, check_chunks_equivalence, cold_run, result_fingerprint,
-    StreamSession,
+    StreamSession, Timeline,
 };
 use vppb_testkit::{every_boundary, fixtures};
 
@@ -71,7 +71,7 @@ fn byte_at_a_time_appends_match_cold() {
         let next = (upto + step).min(bytes.len());
         let appended = session.append(&bytes[upto..next]).is_ok();
         let inc = if appended {
-            session.predict(&params)
+            session.simulate(&params)
         } else {
             Err(vppb_model::VppbError::MalformedLog("append failed".into()))
         };
@@ -103,10 +103,13 @@ fn checkpoint_chain_engages_and_advances() {
     assert!(chunks.len() >= 4, "fixture too small to chunk: {}", chunks.len());
     let mut session = StreamSession::new();
     let mut checkpoints = Vec::new();
-    for part in &chunks {
+    for (i, part) in chunks.iter().enumerate() {
         session.append(part).unwrap();
         session.predict(&params).unwrap();
+        session.simulate(&params).unwrap();
         checkpoints.push(session.checkpoint_events(&params));
+        // The recording chain pauses where the timeline-free one does.
+        assert_eq!(checkpoints[i], session.chain_events(&params, Timeline::Record), "chunk {i}");
     }
     let engaged: Vec<u64> = checkpoints.iter().copied().flatten().collect();
     assert!(
@@ -136,15 +139,15 @@ fn rebuilt_session_predicts_bit_identically_to_the_live_one() {
         let mut rebuilt = StreamSession::rebuild(&chunks[..=i]);
         assert_eq!(rebuilt.bytes(), live.bytes(), "restart after chunk {i}");
         if live_ok {
-            let a = live.predict(&params).unwrap();
-            let b = rebuilt.predict(&params).unwrap();
+            let a = live.simulate(&params).unwrap();
+            let b = rebuilt.simulate(&params).unwrap();
             assert_eq!(
                 result_fingerprint(&a),
                 result_fingerprint(&b),
                 "restart after chunk {i}: rebuilt prediction diverged"
             );
         } else {
-            assert!(rebuilt.predict(&params).is_err(), "restart after chunk {i}");
+            assert!(rebuilt.simulate(&params).is_err(), "restart after chunk {i}");
         }
     }
 }

@@ -2,18 +2,19 @@
 //! equal what serial [`vppb_sim::simulate`] reports for its configuration
 //! — same wall clock, same DES cost, same utilization, same audit verdict
 //! — and its speed-up surface must match what serial `predict`
-//! invocations compute. Sweep cells record no trace, so a run without a
-//! trace must also equal the same run with one.
+//! invocations compute. Sweep cells, a prediction's 1-CPU reference run
+//! and the service's predictions record no timeline, so a run without a
+//! timeline must also equal the same run with one.
 
-use vppb_machine::{run, RunOptions, RunResult};
+use vppb_machine::RunResult;
 use vppb_model::{FaultInjection, LwpPolicy, ModelKind, SimParams, Time, TraceLog};
 use vppb_recorder::{record, RecordOptions};
 use vppb_sim::{
-    analyze, build_replay_app, replay_with_engine, simulate, sweep, SweepConfig, SweepGrid,
-    SweepPoint,
+    analyze, build_replay_app, predict, reference_params, replay_plan, result_fingerprint,
+    simulate, simulate_plan, sweep, SweepConfig, SweepGrid, SweepPoint, Timeline,
 };
 use vppb_threads::AppBuilder;
-use vppb_workloads::{prodcons, splash, KernelParams};
+use vppb_workloads::{prodcons, splash, splash2_suite, KernelParams};
 
 fn record_app(app: &vppb_threads::App) -> TraceLog {
     record(app, &RecordOptions::default()).expect("record").log
@@ -98,19 +99,17 @@ fn parallel_sweep_points_equal_serial_simulate() {
 fn traced_and_untraced(log: &TraceLog, params: &SimParams) -> (RunResult, RunResult) {
     let plan = analyze(log).expect("analyze");
     let app = build_replay_app(&plan, log.header.source_map.clone()).expect("app");
-    let with_trace = |record_trace: bool| {
-        replay_with_engine(&app, &plan, params, None, |app, cfg, opts| {
-            run(app, cfg, RunOptions { record_trace, ..opts })
-        })
-        .expect("replay")
-    };
-    (with_trace(true), with_trace(false))
+    let replay = |timeline| replay_plan(&app, &plan, params, None, timeline).expect("replay");
+    (replay(Timeline::Record), replay(Timeline::Skip))
 }
 
 fn assert_same_run(traced: &RunResult, untraced: &RunResult, what: &str) {
     assert_eq!(traced.wall_time, untraced.wall_time, "{what}: wall time");
     assert_eq!(traced.des_events, untraced.des_events, "{what}: DES events");
     assert_eq!(traced.cpu_busy, untraced.cpu_busy, "{what}: CPU busy");
+    assert_eq!(traced.total_cpu_time, untraced.total_cpu_time, "{what}: total CPU");
+    assert_eq!(traced.n_threads, untraced.n_threads, "{what}: thread count");
+    assert_eq!(traced.trace.threads, untraced.trace.threads, "{what}: per-thread summaries");
     assert_eq!(traced.audit.checks, untraced.audit.checks, "{what}: audit checks");
     assert_eq!(traced.audit.render(), untraced.audit.render(), "{what}: audit violations");
     assert!(untraced.trace.transitions.is_empty() && untraced.trace.events.is_empty());
@@ -131,6 +130,35 @@ fn a_run_without_a_trace_equals_a_run_with_one() {
         let (traced, untraced) = traced_and_untraced(&log, &params);
         assert!(!traced.audit.is_clean(), "{name}: the planted fault went unseen");
         assert_same_run(&traced, &untraced, &format!("{name}/4p double-charged"));
+    }
+}
+
+/// The Table-1 programs replay alike without a timeline and with one on
+/// 1, 2 and 8 CPUs under both models, and `predict`'s 1-CPU wall, from a
+/// run that records none, is the recorded reference run's.
+#[test]
+fn table1_runs_without_a_timeline_equal_recorded_ones() {
+    for spec in splash2_suite() {
+        let log = record_app(&(spec.build)(KernelParams::scaled(8, 0.05)));
+        let plan = analyze(&log).expect("analyze");
+        for model in [ModelKind::SolarisTs, ModelKind::AsyncPool] {
+            for cpus in [1, 2, 8] {
+                let mut params = SimParams::cpus(cpus);
+                params.machine.model = model;
+                let what = format!("{} {cpus}p model={}", spec.name, model.name());
+                let (traced, untraced) = traced_and_untraced(&log, &params);
+                assert!(!traced.trace.transitions.is_empty(), "{what}: empty timeline");
+                assert_same_run(&traced, &untraced, &what);
+                let prediction = predict(&plan, &log, &params).expect("predict");
+                let uni = simulate_plan(&plan, &log, &reference_params(&params)).expect("uni");
+                assert_eq!(prediction.uni_wall, uni.wall_time, "{what}: 1-CPU wall");
+                assert_eq!(
+                    result_fingerprint(&prediction.run),
+                    result_fingerprint(&traced),
+                    "{what}: predict's N-CPU run records its timeline"
+                );
+            }
+        }
     }
 }
 

@@ -1,7 +1,8 @@
 //! Integration tests for the `vppb` command-line tool: the full
 //! file-based workflow, driven exactly as a user would.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 fn vppb(args: &[&str]) -> (bool, String, String) {
     let (code, stdout, stderr) = vppb_code(args);
@@ -528,4 +529,51 @@ fn a_mark_inside_an_open_call_checks_and_predicts_alike() {
     let (code, watched, stderr) = vppb_code(&["watch", bad_s, "--cpus", "2", "--chunks", "5"]);
     assert_eq!(code, 0, "{stderr}");
     assert_eq!(watched, with_mark, "watch ends on the line predict prints");
+}
+
+/// A log may ask `thr_setconcurrency` for billions of LWPs. A pool that
+/// follows the program stops at the LWP bound, so a sweep of such a log
+/// finishes at once. The sweep runs under a 2 GB address-space cap and a
+/// 60 s deadline, so a regression fails here instead of taking the host's
+/// memory.
+#[test]
+fn a_follow_sweep_of_a_huge_setconcurrency_finishes_at_once() {
+    let dir = tmpdir("setconcurrency");
+    let log = dir.join("fft.vppb");
+    let log_s = log.to_str().unwrap();
+    let (ok, _, stderr) =
+        vppb(&["record", "fft", "--threads", "4", "--scale", "0.02", "-o", log_s]);
+    assert!(ok, "record failed: {stderr}");
+    let text = std::fs::read_to_string(&log).unwrap();
+    let mut lines: Vec<&str> = text.lines().collect();
+    let at = lines.iter().position(|l| l.contains(" T1 M thread_start ")).expect("main starts");
+    let time = lines[at].split(' ').next().unwrap().to_string();
+    let before = format!("{time} T1 B thr_setconcurrency n=4000000000 @0x0");
+    let after = format!("{time} T1 A thr_setconcurrency n=4000000000 @0x0");
+    lines.splice(at + 1..at + 1, [before.as_str(), after.as_str()]);
+    let conc = dir.join("conc.vppb");
+    std::fs::write(&conc, lines.join("\n") + "\n").unwrap();
+    let conc_s = conc.to_str().unwrap();
+    let (code, stdout, stderr) = vppb_code(&["check", "--strict", conc_s]);
+    assert_eq!(code, 0, "stdout: {stdout}\nstderr: {stderr}");
+
+    let start = Instant::now();
+    let mut child = Command::new("sh")
+        .args(["-c", "ulimit -v 2000000; exec \"$0\" \"$@\"", env!("CARGO_BIN_EXE_vppb")])
+        .args(["sweep", conc_s, "--lwps", "follow", "--cpus", "2", "--no-color"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("sh runs");
+    while child.try_wait().unwrap().is_none() {
+        if start.elapsed() > Duration::from_secs(60) {
+            child.kill().unwrap();
+            panic!("the sweep was still running after 60 s");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{}\n{stdout}", String::from_utf8_lossy(&out.stderr));
+    assert!(stdout.contains("clean"), "{stdout}");
 }

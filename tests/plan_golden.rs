@@ -32,8 +32,10 @@ fn table1_and_case_study() -> Vec<(String, TraceLog)> {
     out
 }
 
-/// Every plan field but the compiled tape cache, rendered in full.
-fn render(plan: &ReplayPlan) -> String {
+/// Every plan field but the compiled tape cache, rendered in full, and
+/// the analyzed log's wall time, which the plan once carried (the line
+/// keeps the pinned hashes).
+fn render(plan: &ReplayPlan, log: &TraceLog) -> String {
     let mut s = String::new();
     writeln!(s, "program {}", plan.program).unwrap();
     for t in &plan.threads {
@@ -50,7 +52,7 @@ fn render(plan: &ReplayPlan) -> String {
         plan.n_mutexes, plan.n_condvars, plan.n_rwlocks, plan.barrier_parties, plan.once_init
     )
     .unwrap();
-    writeln!(s, "recorded_wall {:?}", plan.recorded_wall).unwrap();
+    writeln!(s, "recorded_wall {:?}", log.header.wall_time).unwrap();
     s
 }
 
@@ -66,7 +68,7 @@ fn line(bytes: &[u8]) -> String {
                 "edits {} threads {} plan {} stable {}",
                 loaded.salvage.edits.len(),
                 plan.threads.len(),
-                ContentId::of_bytes(render(&plan).as_bytes()),
+                ContentId::of_bytes(render(&plan, &loaded.log).as_bytes()),
                 stable.join(",")
             )
         }

@@ -354,6 +354,30 @@ fn out_of_bounds_configurations_get_a_400_and_the_server_keeps_serving() {
     assert_eq!(status, 200, "a valid predict still answers");
 }
 
+/// A log may ask `thr_setconcurrency` for billions of LWPs. Under a pool
+/// that follows the program the pool stops at the LWP bound, so a sweep
+/// of such a log answers at once.
+#[test]
+fn a_follow_sweep_of_a_huge_setconcurrency_answers_200() {
+    let mut b = AppBuilder::new("conc", "conc.c");
+    let w = b.func("w", |f| f.work_us(300));
+    b.main(move |f| {
+        f.set_concurrency(4_000_000_000);
+        let s = f.slot();
+        f.loop_n(2, |f| f.create_into(w, s));
+        f.loop_n(2, |f| f.join(s));
+    });
+    let log = record(&b.build().unwrap(), &RecordOptions::default()).unwrap().log;
+    let server = spawn(&[]);
+    let id = str_field(&upload(server.addr, &vppb_model::binlog::encode(&log).unwrap()), "id");
+    let sweep = format!("{{\"id\":\"{id}\",\"cpus\":[1,2],\"lwps\":[\"follow\"]}}");
+    let (status, body) =
+        HttpClient::new(server.addr).request("POST", "/sweep", sweep.as_bytes()).unwrap();
+    let body = String::from_utf8_lossy(&body);
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(body.matches("\"audit_clean\":true").count(), 2, "{body}");
+}
+
 #[test]
 fn shutdown_drains_and_the_process_exits_cleanly() {
     let mut server = spawn(&[]);

@@ -80,7 +80,7 @@ fn manual_session_over_chunked_prefixes() {
         let append_err = session.append(part).err();
         let inc = match append_err {
             Some(e) => Err(e),
-            None => session.predict(&params),
+            None => session.simulate(&params),
         };
         match (inc, cold_run(&prefix, &params)) {
             (Ok(a), Ok(b)) => {
